@@ -18,7 +18,15 @@ Two contracts of the one shared estimation backend
   ``REPRO_BENCH_BACKEND_MIN_PAR_SPEEDUP`` floor when one is set (default 0:
   record, don't assert - a single-core machine cannot honestly clear 1.0;
   CI sets it).  The section also times ``share_bandwidths=False`` against
-  the shared-cache default (``sharing_speedup``).
+  the shared-cache default (``sharing_speedup``).  It runs the Gaussian
+  kernel: a compact kernel at these bandwidths takes the sparse-support
+  path, and this section exists to measure the threaded dense tile chain;
+* **sparse-support contraction** - the 4-point skyline
+  ``(0.1, 0.2, 0.3, 0.5)`` on the Adult schema contracted on the joint's
+  positive pairs must match the dense tile chain to ``<= 1e-12`` and beat it
+  by ``REPRO_BENCH_SPARSE_MIN_SPEEDUP`` (default 2).  Both sides pay the
+  same solo GEMM per bandwidth, which bounds the ratio at small sizes (about
+  3-4x at 2k-5k rows, about 10x at 20k on a 2-core box).
 
 Scale knobs:
 
@@ -29,10 +37,13 @@ Scale knobs:
 * ``REPRO_BENCH_BACKEND_JOBS``     - thread count for the parallel section
   (default: all cores; CI pins 4 so the section name stays stable);
 * ``REPRO_BENCH_BACKEND_MIN_PAR_SPEEDUP`` - in-bench floor on
-  ``parallel_speedup`` (default 0).
+  ``parallel_speedup`` (default 0);
+* ``REPRO_BENCH_SPARSE_MIN_SPEEDUP`` - in-bench floor on the sparse
+  section's ``speedup`` (default 2).
 
 The measured numbers land in ``BENCH_prior_backend.json`` (sections
-``wide-rows-<n>`` / ``pipeline-rows-<n>`` / ``parallel-rows-<n>-jobs-<j>``),
+``wide-rows-<n>`` / ``pipeline-rows-<n>`` / ``parallel-rows-<n>-jobs-<j>`` /
+``sparse-rows-<n>``),
 which CI regenerates at tiny size and compares against the committed
 baseline with ``benchmarks/check_regression.py``.
 """
@@ -51,6 +62,7 @@ from repro.data.schema import Schema, categorical_qi, numeric_qi, sensitive
 from repro.data.table import MicrodataTable
 from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend
 from repro.knowledge.prior import BatchedKernelPriorEstimator, kernel_prior
+from repro.obs.tracing import Tracer
 
 PRIOR_ROWS = int(os.environ.get("REPRO_BENCH_PRIOR_ROWS", "5000"))
 WIDE_ROWS = int(os.environ.get("REPRO_BENCH_PRIOR_WIDE_ROWS", "4000"))
@@ -58,6 +70,9 @@ MIN_SPEEDUP = float(os.environ.get("REPRO_BENCH_PRIOR_MIN_SPEEDUP", "3"))
 REPEATS = int(os.environ.get("REPRO_BENCH_PRIOR_REPEATS", "3"))
 JOBS = int(os.environ.get("REPRO_BENCH_BACKEND_JOBS", str(os.cpu_count() or 1)))
 MIN_PAR_SPEEDUP = float(os.environ.get("REPRO_BENCH_BACKEND_MIN_PAR_SPEEDUP", "0"))
+MIN_SPARSE_SPEEDUP = float(os.environ.get("REPRO_BENCH_SPARSE_MIN_SPEEDUP", "2"))
+#: The 4-adversary skyline of the repository benchmark's batch-publish audit.
+SKYLINE = (0.1, 0.2, 0.3, 0.5)
 
 
 def _best_of(callable_, repeats: int = REPEATS):
@@ -190,7 +205,7 @@ def test_parallel_contraction_speedup():
 
     def backend(jobs: int, share: bool = True) -> FactoredPriorBackend:
         config = EstimatorConfig(
-            max_cells=WIDE_MAX_CELLS, jobs=jobs, share_bandwidths=share
+            kernel="gaussian", max_cells=WIDE_MAX_CELLS, jobs=jobs, share_bandwidths=share
         )
         return FactoredPriorBackend(config).fit(table)
 
@@ -242,3 +257,57 @@ def test_parallel_contraction_speedup():
             f"{JOBS} contraction threads only reached {parallel_speedup:.2f}x the "
             f"serial path (required: {MIN_PAR_SPEEDUP:g}x)"
         )
+
+
+def _contract_paths(backend: FactoredPriorBackend, bandwidths) -> tuple[list, list[str]]:
+    """The backend's priors and the path each ``backend.contract`` span took."""
+    tracer = Tracer()
+    with tracer.activate(), tracer.timed("bench"):
+        matrices = backend.matrices(bandwidths)
+    root = tracer.take_root()
+    paths = [
+        span.attributes["path"] for span in root.walk() if span.name == "backend.contract"
+    ]
+    return matrices, paths
+
+
+def test_sparse_support_contraction_speedup():
+    """The skyline's bandwidths on the sparse pairs vs the dense tile chain."""
+    table = generate_adult(PRIOR_ROWS, seed=2009)
+    sparse = FactoredPriorBackend(EstimatorConfig()).fit(table)
+    dense = FactoredPriorBackend(EstimatorConfig()).fit(table)
+    dense._sparse_enabled = False  # the dense tile chain, as the reference
+
+    sparse_matrices, sparse_paths = _contract_paths(sparse, SKYLINE)
+    dense_matrices, dense_paths = _contract_paths(dense, SKYLINE)
+    assert sparse_paths == ["sparse"] * len(SKYLINE)
+    assert dense_paths == ["dense"] * len(SKYLINE)
+    max_difference = max(
+        float(np.abs(a - b).max()) for a, b in zip(sparse_matrices, dense_matrices)
+    )
+    sparse_seconds, _ = _best_of(lambda: sparse.matrices(SKYLINE))
+    dense_seconds, _ = _best_of(lambda: dense.matrices(SKYLINE))
+    speedup = dense_seconds / sparse_seconds
+
+    print(
+        f"\nprior backend (sparse): rows={PRIOR_ROWS} bandwidths={len(SKYLINE)} "
+        f"dense={dense_seconds:.3f}s sparse={sparse_seconds:.3f}s "
+        f"speedup={speedup:.1f}x max-diff={max_difference:.2e}"
+    )
+    write_bench_json(
+        "prior_backend",
+        f"sparse-rows-{PRIOR_ROWS}",
+        {
+            "rows": PRIOR_ROWS,
+            "bandwidths": len(SKYLINE),
+            "dense_seconds": dense_seconds,
+            "sparse_seconds": sparse_seconds,
+            "speedup": speedup,
+            "max_difference": max_difference,
+        },
+    )
+    assert max_difference <= 1e-12
+    assert speedup >= MIN_SPARSE_SPEEDUP, (
+        f"the sparse-support contraction is only {speedup:.1f}x faster than the "
+        f"dense tile chain (required: {MIN_SPARSE_SPEEDUP:g}x)"
+    )

@@ -8,6 +8,8 @@ artefact so repeated runs - parameter sweeps, figure reproductions, serving
 many release requests for one dataset - pay the cost once:
 
 * **kernel priors**, keyed by ``(table_id, estimator, kernel, bandwidth)``;
+* **fitted prior backends**, one per estimator configuration: the publish
+  prior and every skyline audit contract on the same fit;
 * **attribute distance matrices** (bandwidth-independent, shared between
   estimators with different ``b`` values);
 * **distance measures** and **audit adversaries**, keyed by their parameters.
@@ -36,10 +38,15 @@ from repro.api.registry import MEASURES, MODELS, PRIOR_ESTIMATORS
 from repro.audit.engine import SkylineAuditEngine, SkylineAuditReport
 from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
-from repro.knowledge.backend import EstimatorConfig, backend_name, resolve_config
+from repro.knowledge.backend import (
+    EstimatorConfig,
+    FactoredPriorBackend,
+    backend_name,
+    resolve_config,
+)
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.parallel import parse_jobs
-from repro.knowledge.prior import PriorBeliefs
+from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
 from repro.obs.tracing import Tracer
 from repro.privacy.disclosure import AttackResult, BackgroundKnowledgeAttack
 from repro.privacy.measures import DistanceMeasure
@@ -135,6 +142,7 @@ class Session:
         self.jobs = self.config.jobs
         self.stats = SessionStats()
         self._priors: dict[_PriorKey, PriorBeliefs] = {}
+        self._backends: dict[EstimatorConfig, FactoredPriorBackend] = {}
         self._distance_matrices: dict[str, np.ndarray] = {}
         self._measures: dict[tuple, DistanceMeasure] = {}
         self._attacks: dict[tuple, BackgroundKnowledgeAttack] = {}
@@ -159,6 +167,27 @@ class Session:
             matrix = attribute_distance_matrix(self.table.domain(attribute_name))
             self._distance_matrices[attribute_name] = matrix
         return matrix
+
+    def prior_backend(self, config: EstimatorConfig | None = None) -> FactoredPriorBackend:
+        """The session's fitted prior backend for ``config`` (fitted at most once).
+
+        ``config`` defaults to the session's own.  Every kernel prior and
+        skyline audit under one configuration contracts on this backend, so
+        a release fits the table once and reuses its count tensor, support
+        index and distance matrices for every bandwidth.
+        """
+        config = self.config if config is None else config
+        backend = self._backends.get(config)
+        if backend is None:
+            backend = FactoredPriorBackend(
+                config,
+                distance_matrices={
+                    name: self.distance_matrix(name)
+                    for name in self.table.quasi_identifier_names
+                },
+            ).fit(self.table)
+            self._backends[config] = backend
+        return backend
 
     def _kernel_prior_key(
         self, bandwidth: Bandwidth, kernel: str, max_cells: int
@@ -208,25 +237,32 @@ class Session:
         if cached is not None:
             self.stats.prior_cache_hits += 1
             return cached
-        params: dict[str, Any] = {}
-        if "b" in accepted:
-            if bandwidth is None:
-                raise PRIOR_ESTIMATORS.error_class(
-                    f"prior estimator {estimator!r} requires a bandwidth b"
-                )
-            params["b"] = bandwidth
-        if "kernel" in accepted:
-            params["kernel"] = kernel
-        if takes_max_cells:
-            params["max_cells"] = max_cells
-        if "jobs" in accepted:
-            params["jobs"] = self.jobs
-        if "distance_matrices" in accepted:
-            params["distance_matrices"] = {
-                name: self.distance_matrix(name)
-                for name in self.table.quasi_identifier_names
-            }
-        priors = PRIOR_ESTIMATORS.get(estimator)(self.table, **params)
+        if "b" in accepted and bandwidth is None:
+            raise PRIOR_ESTIMATORS.error_class(
+                f"prior estimator {estimator!r} requires a bandwidth b"
+            )
+        if estimator == "kernel":
+            # The paper's estimator contracts on the session's shared fit.
+            config = resolve_config(self.config, kernel=kernel, max_cells=max_cells)
+            priors = BatchedKernelPriorEstimator.from_backend(
+                self.prior_backend(config)
+            ).prior_for_table([bandwidth])[0]
+        else:
+            params: dict[str, Any] = {}
+            if "b" in accepted:
+                params["b"] = bandwidth
+            if "kernel" in accepted:
+                params["kernel"] = kernel
+            if takes_max_cells:
+                params["max_cells"] = max_cells
+            if "jobs" in accepted:
+                params["jobs"] = self.jobs
+            if "distance_matrices" in accepted:
+                params["distance_matrices"] = {
+                    name: self.distance_matrix(name)
+                    for name in self.table.quasi_identifier_names
+                }
+            priors = PRIOR_ESTIMATORS.get(estimator)(self.table, **params)
         self.stats.prior_estimations += 1
         self._priors[key] = priors
         return priors
@@ -388,18 +424,16 @@ class Session:
                 self.stats.prior_cache_hits += 1
             priors.append(cached)
         missing = [i for i, prior in enumerate(priors) if prior is None]
+        config = resolve_config(self.config, kernel=kernel)
         engine = SkylineAuditEngine(
             self.table,
             points,
-            config=resolve_config(self.config, kernel=kernel),
+            config=config,
             method=method,
             measure=self.measure("smoothed-js", kernel=kernel),
             priors=priors,
             chunk_rows=chunk_rows,
-            distance_matrices={
-                name: self.distance_matrix(name)
-                for name in self.table.quasi_identifier_names
-            },
+            backend=self.prior_backend(config) if missing else None,
         )
         if missing:
             # One batched pass over every missing bandwidth (duplicates are

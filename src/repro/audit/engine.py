@@ -29,7 +29,7 @@ import numpy as np
 from repro.data.table import MicrodataTable
 from repro.exceptions import AuditError
 from repro.inference.omega import grouped_posterior
-from repro.knowledge.backend import EstimatorConfig, resolve_config
+from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend, resolve_config
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
 from repro.obs.tracing import current_tracer
@@ -206,6 +206,12 @@ class SkylineAuditEngine:
         Worker threads for the estimation backend's parallel contraction
         (``None`` resolves to ``REPRO_JOBS`` / ``os.cpu_count()``; priors are
         bitwise identical at any thread count).
+    backend:
+        Optional :class:`~repro.knowledge.backend.FactoredPriorBackend`
+        already fitted on ``table`` (and configured like ``config``); missing
+        priors are contracted on it instead of on a fresh fit.  This is how
+        :class:`~repro.api.session.Session` shares one fit between its
+        publish prior and its audits.
 
     One engine may audit many releases (each :meth:`audit` call takes its own
     ``groups``); the priors are estimated once, on first use.
@@ -225,6 +231,7 @@ class SkylineAuditEngine:
         max_cells: int | None = None,
         jobs: int | None = None,
         distance_matrices: dict[str, np.ndarray] | None = None,
+        backend: FactoredPriorBackend | None = None,
     ):
         if method not in {"omega", "exact"}:
             raise AuditError("method must be 'omega' or 'exact'")
@@ -240,6 +247,7 @@ class SkylineAuditEngine:
         self.max_cells = int(self.config.max_cells)
         self.jobs = self.config.jobs
         self._distance_matrices = distance_matrices
+        self._backend = backend
         self.measure = measure if measure is not None else sensitive_distance_measure(table)
         priors = list(priors) if priors is not None else [None] * len(self.adversaries)
         if len(priors) != len(self.adversaries):
@@ -260,10 +268,13 @@ class SkylineAuditEngine:
             return self
         start = time.perf_counter()
         with current_tracer().span("engine.prepare", adversaries=len(missing)):
-            estimator = BatchedKernelPriorEstimator(
-                config=self.config,
-                distance_matrices=self._distance_matrices,
-            ).fit(self.table)
+            if self._backend is not None:
+                estimator = BatchedKernelPriorEstimator.from_backend(self._backend)
+            else:
+                estimator = BatchedKernelPriorEstimator(
+                    config=self.config,
+                    distance_matrices=self._distance_matrices,
+                ).fit(self.table)
             estimated = estimator.prior_for_table(
                 [self.adversaries[i].bandwidth for i in missing]
             )

@@ -63,6 +63,32 @@ elementwise to the cached distances, restricted to the closed support mask
 masked-out entries are exact zeros, so this too is bitwise identical to the
 dense rebuild.
 
+**Sparse-support contraction.**  With a compact-support kernel at a narrow
+bandwidth almost every cell of ``J`` is an exact zero (on Adult at
+``B <= 0.3`` every rest attribute's kernel matrix is diagonal, so ``J`` has
+``c`` non-zeros among ``c^2`` cells), and the dense chain spends nearly all
+its work multiplying those zeros out.  The sparse path never builds a
+``c x c`` array, a block joint or a distance gather: a bandwidth-independent
+prefix trie over the observed rest combinations (:mod:`repro.knowledge.support`,
+rebuilt when slots grow) lets it enumerate the positive pairs ``(r, r')``
+attribute by attribute from each attribute's tiny ``|D_i|^2`` kernel matrix,
+keeping only prefixes that exist, and each numerator becomes a segmented sum
+``sum_r' J[r_q, r'] * (W_solo @ M)[a_q, r', :]`` over its query's pair list
+after the unchanged solo GEMM.  Pair weights fold in the dense chain's order,
+so a diagonal joint gives bitwise the dense priors; otherwise they agree to
+round-off.  An ``O(c d)`` upper bound on the pair count,
+``sum_r prod_i |N_i(v_i(r))|``, picks the path per bandwidth: sparse when
+the bound fits ``max_cells`` and is at most a quarter of the dense
+``queries x slots`` work, the dense tile chain otherwise (and always for
+kernels without compact support).  Query tiles keep each tile's gathered
+``pairs x m`` terms within ``max_cells`` and run on the shared pool; a
+query's sum never depends on the tiling, so results are bitwise identical at
+any ``jobs``.  Incremental caches of sparse bandwidths hold the pair lists
+instead of block joints: slot growth enumerates only the pairs touching the
+new slots, and the affected queries of a delta are read off the pairs.
+Every ``backend.contract`` span records ``path`` (``"sparse"`` or
+``"dense"``), ``pairs`` (the joint cells multiplied out) and ``pair_bound``.
+
 **Incremental deltas.**  Appending rows is additive in ``M``; with
 ``incremental=True`` the per-bandwidth artefacts (block joints, the
 solo-contracted tensor and the per-query numerators) are cached and
@@ -105,6 +131,14 @@ from repro.exceptions import KnowledgeError
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.kernels import get_kernel, has_compact_support
 from repro.knowledge.parallel import parse_jobs, resolve_jobs, run_tasks
+from repro.knowledge.support import (
+    AttributeNeighbours,
+    NeighbourPairs,
+    SupportIndex,
+    expand_ranges,
+    neighbour_pairs,
+    pair_bound,
+)
 from repro.obs.tracing import current_tracer
 
 DEFAULT_MAX_CELLS = 64_000_000
@@ -139,8 +173,10 @@ class EstimatorConfig:
     max_cells:
         Cell budget for the *per-bandwidth contraction working set*: block
         joint matrices and materialised joint-row tiles stay below this many
-        float64 cells.  It deliberately does **not** bound the factored count
-        tensor, which scales linearly with the data (``solo domain x
+        float64 cells, and so do the sparse path's pair lists (one cell per
+        pair) and each of its gathered ``pairs x m`` term tiles.  It
+        deliberately does **not** bound the factored count tensor, which
+        scales linearly with the data (``solo domain x
         observed rest combinations x m``) - shrinking the budget makes the
         blocks and tiles smaller, never the storage.  ``0`` selects the flat
         ``O(n^2 d)`` reference sweep instead (kept only for small-size
@@ -254,6 +290,11 @@ class FactoredPriorBackend:
         it in place (costs memory per distinct bandwidth; off by default).
     """
 
+    #: The sparse-support contraction's on switch.  Off, every bandwidth
+    #: takes the dense tile chain - the equivalence reference the tests and
+    #: the sparse-vs-dense benchmark compare against.
+    _sparse_enabled = True
+
     def __init__(
         self,
         config: EstimatorConfig | None = None,
@@ -291,14 +332,19 @@ class FactoredPriorBackend:
         self._query_solo: np.ndarray | None = None
         self._query_rest: np.ndarray | None = None  # slot ids
         self._query_inverse: np.ndarray | None = None
+        # Prefix trie over the rest slots for the sparse-support contraction
+        # (bandwidth-independent; dropped whenever the slot layout changes).
+        self._support: SupportIndex | None = None
         # Flat-reference state.
         self._qi_codes: np.ndarray | None = None
         self._one_hot: np.ndarray | None = None
         self._flat_unique: np.ndarray | None = None
         self._flat_inverse: np.ndarray | None = None
         # Per-bandwidth contraction caches (incremental mode only), keyed by
-        # Bandwidth.items(): {"bandwidth", "block_joints", "contracted_storage",
-        # "numerators"} with contracted storage at the shared slot capacity.
+        # Bandwidth.items(): {"bandwidth", "pairs", "block_joints",
+        # "contracted_storage", "numerators"} with contracted storage at the
+        # shared slot capacity.  A sparse cache holds the joint's neighbour
+        # pairs (block_joints None), a dense one its block joints (pairs None).
         self._contractions: dict[tuple, dict] = {}
 
     # -- small helpers ----------------------------------------------------------------
@@ -402,6 +448,7 @@ class FactoredPriorBackend:
         self._overall = table.sensitive_distribution()
         self._contractions = {}
         self._block_distance_cache = {}
+        self._support = None
         codes = table.qi_code_matrix().astype(np.int64)
         sensitive = table.sensitive_codes().astype(np.int64)
         m = table.sensitive_domain().size
@@ -560,6 +607,7 @@ class FactoredPriorBackend:
         )
         self._block_distance_cache = {}
         self._contractions = {}
+        self._support = None
         self._overall = self._table.sensitive_distribution()
         self._rebuild_query_index()
 
@@ -934,7 +982,6 @@ class FactoredPriorBackend:
         contracted[:, rest_touched, :] = (
             solo_weights @ counts_touched.reshape(solo_size, -1)
         ).reshape(solo_size, rest_touched.size, m)
-        block_joints = cache["block_joints"]
 
         # Realign numerators with the (shrunk or grown) query set: vanished
         # pairs are dropped, fresh pairs recontract fully below.
@@ -945,12 +992,8 @@ class FactoredPriorBackend:
         numerators[positions[survives]] = cache["numerators"][survives]
         fresh = np.ones(self._pair_keys.size, dtype=bool)
         fresh[positions[survives]] = False
-        affected = self._affected_query_mask(
-            cache["bandwidth"], block_joints, cell_solo, cell_rest
-        )
-        self._contract_queries(
-            numerators, np.flatnonzero(affected | fresh), block_joints, contracted
-        )
+        affected = self._affected_query_mask(cache, cell_solo, cell_rest)
+        self._recontract(cache, numerators, np.flatnonzero(affected | fresh))
         cache["numerators"] = numerators
 
     def _assign_fresh_slots(self, rest_new: np.ndarray, m: int) -> np.ndarray | None:
@@ -1013,15 +1056,24 @@ class FactoredPriorBackend:
         slots = np.arange(n_old, n_after, dtype=np.int64)
         self._rest_combos[slots] = new_combos
         self._n_combos = n_after
+        self._support = None
         grown = [
             self._grow_block(block, new_combos[:, list(block.positions)], slots)
             for block in self._blocks
         ]
-        for cache in self._contractions.values():
-            cache["block_joints"] = [
-                self._grow_block_joint(block, joint, n_new, cache["bandwidth"])
-                for block, joint, n_new in zip(self._blocks, cache["block_joints"], grown)
-            ]
+        for key, cache in list(self._contractions.items()):
+            if cache["pairs"] is not None:
+                cache["pairs"] = self._grow_pairs(cache["bandwidth"], cache["pairs"], slots)
+                if cache["pairs"] is None:
+                    # Outgrew the pair budget: the next estimation of this
+                    # bandwidth recontracts from scratch and picks its path.
+                    del self._contractions[key]
+                    continue
+            else:
+                cache["block_joints"] = [
+                    self._grow_block_joint(block, joint, n_new, cache["bandwidth"])
+                    for block, joint, n_new in zip(self._blocks, cache["block_joints"], grown)
+                ]
             cache["contracted_storage"][:, slots, :] = 0.0
 
     def _grow_block(self, block: _RestBlock, sub_combos: np.ndarray, slots: np.ndarray) -> int:
@@ -1176,7 +1228,7 @@ class FactoredPriorBackend:
         contracted: np.ndarray,
         columns: np.ndarray | None = None,
         accumulate: bool = False,
-    ) -> None:
+    ) -> int:
         """Numerators for the selected query positions (grouped by solo code, tiled).
 
         ``columns`` restricts the contraction to a subset of rest slots (with
@@ -1216,25 +1268,29 @@ class FactoredPriorBackend:
 
     def _dispatch_tiles(
         self,
-        contract: Callable[[int, np.ndarray], None],
-        tiles: list[tuple[int, np.ndarray]],
+        contract: Callable[[int | None, np.ndarray], None],
+        tiles: list[tuple[int | None, np.ndarray]],
     ) -> int:
         """Run independent contraction tiles on the shared pool.
 
-        The tracer and its innermost open span are captured on *this*
-        (dispatching) thread; every worker attaches them so its
-        ``backend.tile`` spans nest under the owning contraction span
-        instead of interleaving across concurrent audits.  Returns the
-        number of distinct pool threads used.
+        Each tile is ``(solo code, query positions)``; sparse tiles mix solo
+        codes and carry ``None``.  The tracer and its innermost open span
+        are captured on *this* (dispatching) thread; every worker attaches
+        them so its ``backend.tile`` spans nest under the owning
+        contraction span instead of interleaving across concurrent audits.
+        Returns the number of distinct pool threads used.
         """
         tracer = current_tracer()
         parent = tracer.current()
         used: set[int] = set()
 
-        def task(a: int, chunk: np.ndarray) -> None:
+        def task(a: int | None, chunk: np.ndarray) -> None:
             used.add(threading.get_ident())
+            attributes = {"queries": int(chunk.size)}
+            if a is not None:
+                attributes["solo"] = a
             with tracer.attach(parent):
-                with tracer.span("backend.tile", solo=a, queries=int(chunk.size)):
+                with tracer.span("backend.tile", **attributes):
                     contract(a, chunk)
 
         run_tasks(
@@ -1278,9 +1334,13 @@ class FactoredPriorBackend:
         fresh = np.ones(self._pair_keys.size, dtype=bool)
         fresh[kept] = False
 
-        affected = self._affected_query_mask(
-            cache["bandwidth"], block_joints, cell_solo, cell_rest
-        )
+        affected = self._affected_query_mask(cache, cell_solo, cell_rest)
+        if cache["pairs"] is not None:
+            # A sparse query's full recontraction costs no more than its
+            # delta: a few neighbour pairs each.
+            self._recontract(cache, numerators, np.flatnonzero(affected | fresh))
+            cache["numerators"] = numerators
+            return
         # Existing affected queries take the *delta* contraction (touched
         # columns only); brand-new queries need the full contraction.  Both
         # sides are sums of non-negative kernel terms, so an exactly-zero
@@ -1297,23 +1357,27 @@ class FactoredPriorBackend:
         cache["numerators"] = numerators
 
     def _affected_query_mask(
-        self,
-        bandwidth: Bandwidth,
-        block_joints: list[np.ndarray],
-        cell_solo: np.ndarray,
-        cell_rest: np.ndarray,
+        self, cache: dict, cell_solo: np.ndarray, cell_rest: np.ndarray
     ) -> np.ndarray:
         """Boolean mask over the query positions whose numerator may change.
 
         A query (a, r) is affected iff some touched cell (a0, r0) has
         positive solo weight a->a0 *and* positive chained rest weight
-        r->r0; count the witnessing cells with small matmuls (tiled over
-        rest slots so the transient weight rows respect the cell budget)
-        instead of materialising the (queries x cells) mask.
+        r->r0.  A sparse cache reads the rest side off its neighbour pairs;
+        a dense one counts the witnessing cells with small matmuls (tiled
+        over rest slots so the transient weight rows respect the cell
+        budget) instead of materialising the (queries x cells) mask.
         """
         qi_names = list(self._table.quasi_identifier_names)
         n_combos = self._n_combos
-        solo_weights = self._bandwidth_weights(bandwidth, qi_names[self._solo_index])
+        solo_weights = self._bandwidth_weights(
+            cache["bandwidth"], qi_names[self._solo_index]
+        )
+        if cache["pairs"] is not None:
+            return self._sparse_affected_mask(
+                cache["pairs"], solo_weights[:, cell_solo] > 0.0, cell_rest
+            )
+        block_joints = cache["block_joints"]
         solo_positive = (solo_weights[:, cell_solo] > 0.0).astype(np.float32)
         witnesses = np.empty((solo_weights.shape[0], n_combos), dtype=np.float32)
         tile = self._tile_rows(max(1, cell_rest.size))
@@ -1375,6 +1439,214 @@ class FactoredPriorBackend:
             self._jobs,
         )
 
+    # -- sparse-support contraction ---------------------------------------------------
+    def _support_layout(self) -> tuple[list[int], list[str], list[bool], list[bool]]:
+        """The sparse path's attribute order: the blocks' positions, block by block.
+
+        Returns the rest column positions, their attribute names and the
+        per-level flags marking where a block opens and closes, so pair
+        weights fold in the dense chain's order.
+        """
+        qi_names = list(self._table.quasi_identifier_names)
+        order: list[int] = []
+        starts: list[bool] = []
+        ends: list[bool] = []
+        for block in self._blocks:
+            width = len(block.positions)
+            order.extend(block.positions)
+            starts.extend(offset == 0 for offset in range(width))
+            ends.extend(offset == width - 1 for offset in range(width))
+        names = [qi_names[self._rest_indices[position]] for position in order]
+        return order, names, starts, ends
+
+    def _support_index(self, slots: np.ndarray | None = None) -> SupportIndex:
+        """The prefix trie over ``slots`` (default: every active slot, cached)."""
+        if slots is None and self._support is not None:
+            return self._support
+        order, names, _, _ = self._support_layout()
+        chosen = np.arange(self._n_combos, dtype=np.int64) if slots is None else slots
+        index = SupportIndex(
+            self._rest_combos[chosen][:, order],
+            [self._distance_matrices[name].shape[0] for name in names],
+            chosen,
+        )
+        if slots is None:
+            self._support = index
+        return index
+
+    def _attribute_neighbours(self, bandwidth: Bandwidth) -> list[AttributeNeighbours]:
+        _, names, _, _ = self._support_layout()
+        return [
+            AttributeNeighbours.from_weights(self._bandwidth_weights(bandwidth, name))
+            for name in names
+        ]
+
+    def _pair_bounds(self, neighbours: list[AttributeNeighbours]) -> np.ndarray:
+        """Per-slot upper bounds on the number of positive joint pairs."""
+        order, _, _, _ = self._support_layout()
+        return pair_bound(self._rest_combos[: self._n_combos][:, order], neighbours)
+
+    def _sparse_pairs(self, bandwidth: Bandwidth) -> tuple[NeighbourPairs | None, float]:
+        """The joint's positive pairs when the sparse path serves ``bandwidth``.
+
+        Returns ``(pairs, bound)``: ``pairs`` is ``None`` - take the dense
+        tile chain - for kernels without compact support, for tables with
+        no rest attributes, or when the ``O(c d)`` pair bound exceeds the
+        ``max_cells`` budget or a quarter of the dense chain's
+        ``queries x slots`` work.
+        """
+        if not (self._sparse_enabled and self._compact_support and self._blocks):
+            return None, float(self._n_combos) ** 2
+        neighbours = self._attribute_neighbours(bandwidth)
+        bounds = self._pair_bounds(neighbours)
+        total = float(bounds.sum())
+        sparse_work = float(bounds[self._query_rest].sum())
+        dense_work = float(self._pair_keys.size) * self._n_combos
+        if total > max(1, self.config.max_cells) or 4.0 * sparse_work > dense_work:
+            return None, total
+        everything = np.arange(self._n_combos, dtype=np.int64)
+        return self._enumerate_pairs(neighbours, bounds, everything, self._support_index()), total
+
+    def _enumerate_pairs(
+        self,
+        neighbours: list[AttributeNeighbours],
+        bounds: np.ndarray,
+        sources: np.ndarray,
+        target: SupportIndex,
+    ) -> NeighbourPairs:
+        """The positive pairs from the ``sources`` slots into ``target``'s slots.
+
+        Sources are enumerated in ascending chunks whose summed pair bound
+        stays within an eighth of ``max_cells``: the enumeration holds about
+        five cells per candidate pair, so its transient arrays stay within
+        the contraction budget however wide the bandwidth.
+        """
+        _, _, starts, ends = self._support_layout()
+        budget = max(1, self.config.max_cells // 8)
+        cumulative = np.cumsum(bounds[sources])
+        parts: list[NeighbourPairs] = []
+        start = 0
+        while start < sources.size:
+            done = float(cumulative[start - 1]) if start else 0.0
+            stop = max(start + 1, int(np.searchsorted(cumulative, done + budget, side="right")))
+            chunk = self._support_index(sources[start:stop])
+            parts.append(neighbour_pairs(chunk, target, neighbours, starts, ends))
+            start = stop
+        return NeighbourPairs.merge(parts, self._n_combos)
+
+    def _grow_pairs(
+        self, bandwidth: Bandwidth, pairs: NeighbourPairs, fresh: np.ndarray
+    ) -> NeighbourPairs | None:
+        """Extend a cached pair list with the pairs touching the ``fresh`` slots.
+
+        ``fresh`` are the newest slots (``fresh[0]`` onwards).  Only pairs
+        with a fresh endpoint are enumerated - fresh to every slot, then old
+        to fresh - and merged into the canonical order, so the result equals
+        a from-scratch enumeration of the grown layout.  Returns ``None``
+        when the grown layout's pair bound exceeds the ``max_cells`` budget.
+        """
+        neighbours = self._attribute_neighbours(bandwidth)
+        bounds = self._pair_bounds(neighbours)
+        if bounds.sum() > max(1, self.config.max_cells):
+            return None
+        old = np.arange(fresh[0], dtype=np.int64)
+        outgoing = self._enumerate_pairs(neighbours, bounds, fresh, self._support_index())
+        incoming = self._enumerate_pairs(
+            neighbours, bounds, old, self._support_index(fresh)
+        )
+        return NeighbourPairs.merge([pairs, outgoing, incoming], self._n_combos)
+
+    def _contract_sparse(
+        self,
+        numerators: np.ndarray,
+        selection: np.ndarray,
+        pairs: NeighbourPairs,
+        contracted_storage: np.ndarray,
+    ) -> int:
+        """Numerators of the selected queries as segmented sums over their pairs.
+
+        ``numerators[q] = sum_r' w(r_q, r') * contracted[a_q, r', :]`` in
+        ascending ``r'`` order.  Queries are tiled so each tile's gathered
+        ``pairs x m`` terms stay within ``max_cells`` (and, with ``jobs >
+        1``, split across the pool).  Each query's sum depends only on its
+        own pairs, never on the tiling, so results are bitwise identical at
+        any ``jobs``.  Returns the number of worker threads used.
+        """
+        if selection.size == 0:
+            return 1
+        m = numerators.shape[1]
+        capacity = contracted_storage.shape[1]
+        terms_of = contracted_storage.reshape(-1, m)
+        offsets = pairs.offsets(self._n_combos)
+        rest = self._query_rest[selection]
+        ends = np.cumsum(offsets[rest + 1] - offsets[rest])
+        total = int(ends[-1])
+        budget = max(1, max(1, self.config.max_cells) // m)
+        if self._jobs > 1:
+            budget = min(budget, max(1, -(-total // self._jobs)))
+        tiles: list[tuple[int | None, np.ndarray]] = []
+        start = 0
+        while start < selection.size:
+            done = int(ends[start - 1]) if start else 0
+            stop = max(start + 1, int(np.searchsorted(ends, done + budget, side="right")))
+            tiles.append((None, selection[start:stop]))
+            start = stop
+
+        def contract(_: int | None, chunk: np.ndarray) -> None:
+            rest = self._query_rest[chunk]
+            first = offsets[rest]
+            counts = offsets[rest + 1] - first
+            index = expand_ranges(first, counts)
+            rows = np.repeat(self._query_solo[chunk] * capacity, counts)
+            terms = terms_of[rows + pairs.target[index]]
+            terms *= pairs.weight[index][:, None]
+            result = np.zeros((chunk.size, m), dtype=np.float64)
+            nonempty = counts > 0
+            if index.size:
+                segment = np.cumsum(counts) - counts
+                result[nonempty] = np.add.reduceat(terms, segment[nonempty], axis=0)
+            numerators[chunk] = result
+
+        if self._jobs <= 1 or len(tiles) <= 1:
+            for a, chunk in tiles:
+                contract(a, chunk)
+            return 1
+        return self._dispatch_tiles(contract, tiles)
+
+    def _sparse_affected_mask(
+        self, pairs: NeighbourPairs, solo_positive: np.ndarray, cell_rest: np.ndarray
+    ) -> np.ndarray:
+        """Queries (a, r) with a pair (r, r0) and a positive solo weight to a cell (a0, r0).
+
+        ``solo_positive[a, j]`` says whether solo code ``a`` reaches touched
+        cell ``j`` (rest slot ``cell_rest[j]``).
+        """
+        touched, cell_position = np.unique(cell_rest, return_inverse=True)
+        reach = np.zeros((touched.size, solo_positive.shape[0]), dtype=bool)
+        np.logical_or.at(reach, cell_position.reshape(-1), solo_positive.T)
+        hit = np.flatnonzero(np.isin(pairs.target, touched))
+        witness = np.zeros((self._n_combos, solo_positive.shape[0]), dtype=bool)
+        np.logical_or.at(
+            witness,
+            pairs.source[hit],
+            reach[np.searchsorted(touched, pairs.target[hit])],
+        )
+        return witness[self._query_rest, self._query_solo]
+
+    def _recontract(self, cache: dict, numerators: np.ndarray, selection: np.ndarray) -> None:
+        """Fully recontract the selected queries from one cached contraction."""
+        if cache["pairs"] is not None:
+            self._contract_sparse(
+                numerators, selection, cache["pairs"], cache["contracted_storage"]
+            )
+        else:
+            self._contract_queries(
+                numerators,
+                selection,
+                cache["block_joints"],
+                cache["contracted_storage"][:, : self._n_combos, :],
+            )
+
     def _factored_matrix(self, bandwidth: Bandwidth) -> np.ndarray:
         """The per-row prior matrix of the fitted table under one bandwidth."""
         table = self._table
@@ -1390,7 +1662,10 @@ class FactoredPriorBackend:
             ) as contract_span:
                 solo_name = qi_names[self._solo_index]
                 solo_weights = self._bandwidth_weights(bandwidth, solo_name)
-                block_joints = self._build_block_joints(bandwidth, tracer)
+                pairs, bound = self._sparse_pairs(bandwidth)
+                block_joints = (
+                    self._build_block_joints(bandwidth, tracer) if pairs is None else None
+                )
 
                 n_combos = self._n_combos
                 solo_size = solo_weights.shape[0]
@@ -1408,18 +1683,26 @@ class FactoredPriorBackend:
                 ).reshape(solo_size, n_combos, m)
 
                 numerators = np.empty((self._pair_keys.size, m), dtype=np.float64)
-                threads = self._contract_queries(
-                    numerators,
-                    np.arange(self._pair_keys.size, dtype=np.int64),
-                    block_joints,
-                    contracted,
-                )
+                everything = np.arange(self._pair_keys.size, dtype=np.int64)
+                if pairs is not None:
+                    threads = self._contract_sparse(
+                        numerators, everything, pairs, contracted_storage
+                    )
+                else:
+                    threads = self._contract_queries(
+                        numerators, everything, block_joints, contracted
+                    )
                 contract_span.annotate(
-                    queries=int(self._pair_keys.size), threads=int(threads)
+                    queries=int(self._pair_keys.size),
+                    threads=int(threads),
+                    path="dense" if pairs is None else "sparse",
+                    pairs=n_combos * n_combos if pairs is None else pairs.size,
+                    pair_bound=bound,
                 )
             if self.incremental:
                 self._contractions[bandwidth.items()] = {
                     "bandwidth": bandwidth,
+                    "pairs": pairs,
                     "block_joints": block_joints,
                     "contracted_storage": contracted_storage,
                     "numerators": numerators,
@@ -1497,6 +1780,9 @@ class FactoredPriorBackend:
         ``query_codes`` is a ``(q, d)`` integer matrix in the fitted table's
         code space; the queries need not occur in the table (the factored
         path computes rectangular query-vs-data block weights on the fly).
+        Every code must index its attribute's domain: a negative or
+        out-of-range code raises :class:`~repro.exceptions.KnowledgeError`
+        (a negative one would otherwise alias a value from the end).
         """
         table = self._require_fitted()
         bandwidth = self.resolve_bandwidth(b)
@@ -1507,6 +1793,14 @@ class FactoredPriorBackend:
                 f"query has {n_attributes} attributes but the estimator was fitted on "
                 f"{len(table.quasi_identifier_names)}"
             )
+        for column, name in enumerate(table.quasi_identifier_names):
+            codes = query_codes[:, column]
+            size = table.domain(name).size
+            if codes.size and (codes.min() < 0 or codes.max() >= size):
+                raise KnowledgeError(
+                    f"query codes for attribute {name!r} must lie in [0, {size}); "
+                    f"got values in [{codes.min()}, {codes.max()}]"
+                )
         unique_codes, inverse = np.unique(query_codes, axis=0, return_inverse=True)
         if self.mode == "flat":
             return self._flat_matrix_for_codes(unique_codes, bandwidth)[inverse]

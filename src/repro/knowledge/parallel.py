@@ -18,6 +18,9 @@ serve workers draw from the same threads instead of each spawning their own.
 
 Tasks are only ever submitted from outside the pool (the backend never nests
 pool work inside pool work), so a bounded pool cannot deadlock on itself.
+A forked child (``multiprocessing`` workers of sweeps and audits) forgets the
+parent's pool: its worker threads do not exist in the child, and tasks
+submitted to it would wait forever.  The child builds its own on first use.
 """
 
 from __future__ import annotations
@@ -35,6 +38,17 @@ JOBS_ENV = "REPRO_JOBS"
 _lock = threading.Lock()
 _pool: ThreadPoolExecutor | None = None
 _pool_size = 0
+
+
+def _forget_pool_after_fork() -> None:
+    global _lock, _pool, _pool_size
+    _lock = threading.Lock()
+    _pool = None
+    _pool_size = 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool_after_fork)
 
 
 def parse_jobs(value: object) -> int:

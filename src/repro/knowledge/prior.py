@@ -303,6 +303,17 @@ class BatchedKernelPriorEstimator:
             incremental=incremental,
         )
 
+    @classmethod
+    def from_backend(cls, backend: FactoredPriorBackend) -> "BatchedKernelPriorEstimator":
+        """A view over an existing (usually already fitted) backend.
+
+        This is how one fitted backend serves several consumers - a
+        session's publish prior and its skyline audit share a single fit.
+        """
+        view = cls(config=backend.config, incremental=backend.incremental)
+        view._backend = backend
+        return view
+
     @property
     def backend(self) -> FactoredPriorBackend:
         """The shared contraction backend this view delegates to."""

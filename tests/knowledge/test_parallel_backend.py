@@ -289,3 +289,17 @@ def test_run_tasks_preserves_order_and_propagates_errors():
 
     with pytest.raises(ValueError, match="boom"):
         run_tasks([lambda: 1, boom, lambda: 3], JOBS)
+
+
+def _threaded_sum_in_child(values):
+    return sum(run_tasks([lambda v=v: v * 2 for v in values], 2))
+
+
+def test_forked_child_does_not_inherit_the_dead_pool():
+    """A forked worker must not submit to the parent's pool, whose threads it
+    does not have (the sweep's process workers used to hang there)."""
+    import multiprocessing
+
+    assert run_tasks([lambda: 1, lambda: 2], 2) == [1, 2]  # parent pool is live
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_threaded_sum_in_child, ([1, 2, 3],)).get(timeout=60) == 12
