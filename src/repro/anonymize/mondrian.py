@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import AnonymizationError
+from repro.knowledge.combinations import unique_rows
 from repro.privacy.models import PrivacyModel
 
 _STRATEGIES = ("widest", "round_robin", "dfs")
@@ -175,10 +176,13 @@ class _Frontier:
     parent: MondrianNode | None  # None while this region is a forest root
     side: str  # "left" / "right" / "root"
     root_slot: int
+    combos: np.ndarray  # the region's distinct QI combinations (rows of the value matrix)
+    counts: np.ndarray  # the region's rows per combination
     dimensions: list[int] = field(default_factory=list)  # candidate columns, in try order
     next_dimension: int = 0
     medians: np.ndarray | None = None
     proposal: tuple[MondrianSplit, np.ndarray, np.ndarray] | None = None
+    proposal_left: np.ndarray | None = None  # combinations going left
 
 
 class MondrianAnonymizer:
@@ -329,26 +333,38 @@ class MondrianAnonymizer:
             depths = [0] * len(regions)
         if len(depths) != len(regions):
             raise AnonymizationError("depths must align one-to-one with regions")
+        region_rows = [np.asarray(region, dtype=np.int64) for region in regions]
+        rows = np.concatenate(region_rows) if region_rows else np.empty(0, dtype=np.int64)
+        # The regions' distinct QI combinations (work proportional to the regions).
+        combo_values, combo_of_row = unique_rows(values[rows].astype(np.float64, copy=False))
 
         roots: list[MondrianNode | MondrianLeaf | None] = [None] * len(regions)
-        frontier = [
-            _Frontier(
-                indices=np.asarray(region, dtype=np.int64),
-                depth=int(depth),
-                parent=None,
-                side="root",
-                root_slot=slot,
+        frontier = []
+        start = 0
+        for slot, (region, depth) in enumerate(zip(region_rows, depths)):
+            region_combos, counts = np.unique(
+                combo_of_row[start : start + region.size], return_counts=True
             )
-            for slot, (region, depth) in enumerate(zip(regions, depths))
-        ]
-        for entry in frontier:
-            self._start_entry(entry, values, spans)
+            start += region.size
+            frontier.append(
+                _Frontier(
+                    indices=region,
+                    depth=int(depth),
+                    parent=None,
+                    side="root",
+                    root_slot=slot,
+                    combos=region_combos,
+                    counts=counts,
+                )
+            )
+        self._start_entries(frontier, combo_values, spans)
 
         while frontier:
+            self._fill_medians(frontier, combo_values)
             proposals: list[_Frontier] = []
             for entry in frontier:
                 self.statistics.max_depth = max(self.statistics.max_depth, entry.depth)
-                if self._propose(entry, values, qi_names):
+                if self._propose(entry, values, combo_values, qi_names):
                     proposals.append(entry)
                 else:
                     self._finalise_leaf(entry, roots)
@@ -360,26 +376,34 @@ class MondrianAnonymizer:
             verdicts = self.model.is_satisfied_batch(halves)
             self.statistics.n_split_attempts += len(proposals)
             frontier = []
+            started: list[_Frontier] = []
             for position, entry in enumerate(proposals):
                 split, left, right = entry.proposal
-                entry.proposal = None
+                goes_left = entry.proposal_left
+                entry.proposal = entry.proposal_left = None
                 if verdicts[2 * position] and verdicts[2 * position + 1]:
                     node = MondrianNode(split=split, depth=entry.depth)
                     self._attach(entry, node, roots)
-                    for side, indices in (("left", left), ("right", right)):
+                    for side, indices, chosen in (
+                        ("left", left, goes_left),
+                        ("right", right, ~goes_left),
+                    ):
                         child = _Frontier(
                             indices=indices,
                             depth=entry.depth + 1,
                             parent=node,
                             side=side,
                             root_slot=entry.root_slot,
+                            combos=entry.combos[chosen],
+                            counts=entry.counts[chosen],
                         )
-                        self._start_entry(child, values, spans)
+                        started.append(child)
                         frontier.append(child)
                 else:
                     self.statistics.n_rejected_splits += 1
                     entry.next_dimension += 1
                     frontier.append(entry)
+            self._start_entries(started, combo_values, spans)
         return roots
 
     # -- helpers -----------------------------------------------------------------------
@@ -425,7 +449,10 @@ class MondrianAnonymizer:
         self, sub: np.ndarray, spans: np.ndarray, depth: int
     ) -> list[int]:
         """Candidate dimension columns in try order (one NumPy pass for all widths)."""
-        widths = (sub.max(axis=0) - sub.min(axis=0)) / spans
+        return self._dimension_order((sub.max(axis=0) - sub.min(axis=0)) / spans, depth)
+
+    def _dimension_order(self, widths: np.ndarray, depth: int) -> list[int]:
+        """Columns of positive normalised width, in this strategy's try order."""
         candidates = [int(j) for j in np.flatnonzero(widths > 0.0)]
         if not candidates:
             return []
@@ -435,33 +462,95 @@ class MondrianAnonymizer:
         offset = depth % len(candidates)
         return candidates[offset:] + candidates[:offset]
 
-    def _start_entry(self, entry: _Frontier, values: np.ndarray, spans: np.ndarray) -> None:
-        sub = values[entry.indices]
-        entry.dimensions = self._ordered_dimensions(sub, spans, entry.depth)
-        entry.medians = np.median(sub, axis=0) if entry.dimensions else None
-        entry.next_dimension = 0
+    def _start_entries(
+        self, entries: list[_Frontier], combo_values: np.ndarray, spans: np.ndarray
+    ) -> None:
+        """Widths and dimension order of a round's new regions, in one pass.
 
-    def _propose(self, entry: _Frontier, values: np.ndarray, qi_names: list[str]) -> bool:
-        """Advance ``entry`` to its next viable candidate split (False = leaf)."""
+        Widths are max - min over each region's distinct combinations,
+        exactly as over its rows.  Medians are filled lazily, per round, for
+        the one dimension each region tries next (:meth:`_fill_medians`).
+        """
+        if not entries:
+            return
+        sizes = np.fromiter((entry.combos.size for entry in entries), dtype=np.int64)
+        offsets = np.cumsum(sizes) - sizes
+        pair_values = combo_values[np.concatenate([entry.combos for entry in entries])]
+        widths = (
+            np.maximum.reduceat(pair_values, offsets, axis=0)
+            - np.minimum.reduceat(pair_values, offsets, axis=0)
+        ) / spans
+        positive = (widths > 0.0).sum(axis=1)
+        # Stable sort on negated widths: widest first, ties by column.
+        widest = np.argsort(-widths, axis=1, kind="stable")
+        for position, entry in enumerate(entries):
+            if self.split_strategy == "round_robin":
+                entry.dimensions = self._dimension_order(widths[position], entry.depth)
+            else:
+                entry.dimensions = widest[position, : positive[position]].tolist()
+            entry.medians = np.full(widths.shape[1], np.nan) if entry.dimensions else None
+            entry.next_dimension = 0
+
+    @staticmethod
+    def _fill_medians(entries: list[_Frontier], combo_values: np.ndarray) -> None:
+        """Median of each region's next dimension, one vectorised pass per column.
+
+        A region's median is the weighted order statistic of its
+        combinations' values at positions ``(N-1)//2`` and ``N//2`` (their
+        mean when ``N`` is even) - bit for bit ``np.median`` over its ``N``
+        rows.
+        """
+        wanted: dict[int, list[_Frontier]] = {}
+        for entry in entries:
+            if entry.next_dimension < len(entry.dimensions):
+                column = entry.dimensions[entry.next_dimension]
+                if np.isnan(entry.medians[column]):
+                    wanted.setdefault(column, []).append(entry)
+        for column, group in wanted.items():
+            sizes = np.fromiter((entry.combos.size for entry in group), dtype=np.int64)
+            rows = np.fromiter((entry.indices.size for entry in group), dtype=np.int64)
+            pair_combos = np.concatenate([entry.combos for entry in group])
+            counts = np.concatenate([entry.counts for entry in group])
+            column_values = combo_values[pair_combos, column]
+            order = np.lexsort(
+                (column_values, np.repeat(np.arange(len(group), dtype=np.int64), sizes))
+            )
+            cumulative = np.cumsum(counts[order])
+            ordered = column_values[order]
+            first = np.cumsum(rows) - rows
+            lower = ordered[np.searchsorted(cumulative, first + (rows - 1) // 2, side="right")]
+            upper = ordered[np.searchsorted(cumulative, first + rows // 2, side="right")]
+            medians = np.where(rows % 2 == 0, (lower + upper) / 2, upper)
+            for entry, median in zip(group, medians):
+                entry.medians[column] = median
+
+    def _propose(
+        self,
+        entry: _Frontier,
+        values: np.ndarray,
+        combo_values: np.ndarray,
+        qi_names: list[str],
+    ) -> bool:
+        """Advance ``entry`` to its next viable candidate split (False = leaf).
+
+        The cut is decided on the region's combinations; its rows follow.
+        """
         while entry.next_dimension < len(entry.dimensions):
             column = entry.dimensions[entry.next_dimension]
-            halves = self._cut(
-                values[entry.indices, column], float(entry.medians[column])
-            )
+            if np.isnan(entry.medians[column]):
+                self._fill_medians([entry], combo_values)
+            threshold = float(entry.medians[column])
+            halves = self._cut(combo_values[entry.combos, column], threshold)
             if halves is None:
                 entry.next_dimension += 1
                 continue
-            left_mask, inclusive = halves
+            goes_left, inclusive = halves
             split = MondrianSplit(
-                attribute=qi_names[column],
-                threshold=float(entry.medians[column]),
-                inclusive=inclusive,
+                attribute=qi_names[column], threshold=threshold, inclusive=inclusive
             )
-            entry.proposal = (
-                split,
-                entry.indices[left_mask],
-                entry.indices[~left_mask],
-            )
+            left_mask = split.goes_left(values[entry.indices, column])
+            entry.proposal = (split, entry.indices[left_mask], entry.indices[~left_mask])
+            entry.proposal_left = goes_left
             return True
         return False
 

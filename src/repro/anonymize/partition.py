@@ -103,22 +103,22 @@ class AnonymizedRelease:
 
     def __init__(self, table: MicrodataTable, groups: list[np.ndarray], *, method: str = ""):
         self._table = table
-        cleaned: list[np.ndarray] = []
-        seen = np.zeros(table.n_rows, dtype=bool)
-        for group in groups:
-            indices = np.asarray(group, dtype=np.int64)
-            if indices.size == 0:
-                continue
-            if indices.min() < 0 or indices.max() >= table.n_rows:
-                raise AnonymizationError("group index out of range")
-            if seen[indices].any():
-                raise AnonymizationError("groups overlap: a tuple appears in more than one group")
-            seen[indices] = True
-            cleaned.append(np.sort(indices))
+        arrays = [np.asarray(group, dtype=np.int64) for group in groups]
+        cleaned = [np.sort(indices) for indices in arrays if indices.size]
         if not cleaned:
             raise AnonymizationError("a release requires at least one non-empty group")
-        if not seen.all():
-            missing = int((~seen).sum())
+        members = np.concatenate(cleaned)
+        if members.min() < 0 or members.max() >= table.n_rows:
+            raise AnonymizationError("group index out of range")
+        # One coverage count catches tuples shared between groups and tuples
+        # repeated within one.
+        coverage = np.bincount(members, minlength=table.n_rows)
+        if coverage.max() > 1:
+            raise AnonymizationError(
+                "groups overlap: a tuple appears more than once across or within groups"
+            )
+        missing = int(np.count_nonzero(coverage == 0))
+        if missing:
             raise AnonymizationError(f"{missing} tuples are not covered by any group")
         self._groups = cleaned
         self._method = method

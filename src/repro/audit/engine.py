@@ -28,9 +28,9 @@ import numpy as np
 
 from repro.data.table import MicrodataTable
 from repro.exceptions import AuditError
-from repro.inference.omega import grouped_posterior
 from repro.knowledge.backend import EstimatorConfig, FactoredPriorBackend, resolve_config
 from repro.knowledge.bandwidth import Bandwidth
+from repro.knowledge.combinations import GroupPairs
 from repro.knowledge.prior import BatchedKernelPriorEstimator, PriorBeliefs
 from repro.obs.tracing import current_tracer
 from repro.privacy.disclosure import (
@@ -38,6 +38,8 @@ from repro.privacy.disclosure import (
     attack_result,
     count_vulnerable_tuples,
     max_risk,
+    pair_distances,
+    partition_layout,
 )
 from repro.privacy.measures import DistanceMeasure, sensitive_distance_measure
 
@@ -306,19 +308,32 @@ class SkylineAuditEngine:
         sensitive_codes = self.table.sensitive_codes()
         group_list = [np.asarray(group, dtype=np.int64) for group in groups]
         jobs = [
-            (prior.matrix, adversary.scalar_b, adversary.t)
+            (prior, adversary.scalar_b, adversary.t)
             for prior, adversary in zip(self._priors, self.adversaries)
         ]
         if processes is None or processes == 1 or len(jobs) == 1:
             tracer = current_tracer()
             attacks = []
-            for matrix, b, t in jobs:
-                with tracer.span("engine.adversary", b=b, t=t):
+            # Adversaries whose priors share a combination index (every
+            # kernel prior of one fit) share one (group, combination) layout.
+            layouts: dict[int, list[GroupPairs]] = {}
+            for prior, b, t in jobs:
+                layout = layouts.get(id(prior.index))
+                if layout is None:
+                    layout = partition_layout(prior.index, group_list, chunk_rows=self.chunk_rows)
+                    layouts[id(prior.index)] = layout
+                with tracer.span(
+                    "engine.adversary",
+                    b=b,
+                    t=t,
+                    rows=sum(pairs.members.size for pairs in layout),
+                    combinations=sum(pairs.n_pairs for pairs in layout),
+                ):
                     attacks.append(
                         attack_result(
-                            matrix, sensitive_codes, group_list, self.measure,
+                            prior, sensitive_codes, group_list, self.measure,
                             adversary_b=b, threshold=t,
-                            method=self.method, chunk_rows=self.chunk_rows,
+                            method=self.method, chunk_rows=self.chunk_rows, layout=layout,
                         )
                     )
         else:
@@ -413,38 +428,53 @@ class SkylineAuditEngine:
                 raise AuditError("previous_of must map every current row")
             if previous_of.size and previous_of.max() >= n_previous:
                 raise AuditError("previous_of points beyond the previous report's rows")
+            mapped = previous_of[previous_of >= 0]
+            if mapped.size and np.bincount(mapped).max() > 1:
+                raise AuditError("previous_of maps two current rows to one previous row")
         surviving = previous_of >= 0
-        previous_keys = {np.asarray(g, dtype=np.int64).tobytes() for g in previous_groups}
+        populated = [group for group in group_list if group.size]
+        members = np.concatenate(populated) if populated else np.empty(0, dtype=np.int64)
+        sizes = np.fromiter(
+            (group.size for group in populated), dtype=np.int64, count=len(populated)
+        )
+        offsets = np.cumsum(sizes) - sizes
+        reusable = self._reusable_groups(
+            members, offsets, sizes, previous_of, previous_groups, n_previous
+        )
 
         tracer = current_tracer()
         entries: list[SkylineAuditEntry] = []
         recomputed: list[int] = []
+        layouts: dict[tuple[int, bytes], GroupPairs] = {}
         for prior, adversary, mask, previous_entry in zip(
             self._priors, self.adversaries, masks, previous_report.entries
         ):
+            stale = ~reusable
+            if members.size:
+                stale |= np.logical_or.reduceat(mask[members], offsets)
+            key = (id(prior.index), stale.tobytes())
+            pairs = layouts.get(key)
+            if pairs is None and stale.any():
+                chosen = np.flatnonzero(stale)
+                chosen_members = np.concatenate([populated[g] for g in chosen])
+                chosen_offsets = np.cumsum(sizes[chosen]) - sizes[chosen]
+                pairs = layouts[key] = prior.index.pairs(chosen_members, chosen_offsets)
             with tracer.span(
-                "engine.adversary", b=adversary.scalar_b, t=adversary.t
+                "engine.adversary",
+                b=adversary.scalar_b,
+                t=adversary.t,
+                rows=0 if pairs is None else int(pairs.members.size),
+                combinations=0 if pairs is None else pairs.n_pairs,
             ) as adversary_span:
                 previous_risks = previous_entry.attack.risks
                 risks = np.zeros(n_rows, dtype=np.float64)
                 risks[surviving] = previous_risks[previous_of[surviving]]
-                stale = [
-                    group
-                    for group in group_list
-                    if mask[group].any()
-                    or not surviving[group].all()
-                    or previous_of[group].tobytes() not in previous_keys
-                ]
-                if stale:
-                    members = np.concatenate(stale)
-                    offsets = np.cumsum(
-                        [0] + [group.size for group in stale[:-1]], dtype=np.int64
+                if pairs is not None:
+                    distances = pair_distances(
+                        prior.combinations, sensitive_codes, pairs, self.measure,
+                        method=self.method,
                     )
-                    prior_rows = prior.matrix[members]
-                    posterior_rows = grouped_posterior(
-                        prior_rows, sensitive_codes[members], offsets, method=self.method
-                    )
-                    risks[members] = self.measure.rowwise(prior_rows, posterior_rows)
+                    risks[pairs.members] = distances[pairs.pair_of_member]
                 attack = AttackResult(
                     adversary_b=adversary.scalar_b,
                     threshold=adversary.t,
@@ -452,9 +482,10 @@ class SkylineAuditEngine:
                     vulnerable_tuples=count_vulnerable_tuples(risks, adversary.t),
                     worst_case_risk=max_risk(risks),
                 )
-                adversary_span.annotate(recomputed_groups=len(stale))
+                n_stale = int(stale.sum())
+                adversary_span.annotate(recomputed_groups=n_stale)
                 entries.append(SkylineAuditEntry(adversary=adversary, attack=attack))
-                recomputed.append(len(stale))
+                recomputed.append(n_stale)
         timings = {
             "prepare_seconds": self.prepare_seconds,
             "audit_seconds": time.perf_counter() - start,
@@ -470,11 +501,44 @@ class SkylineAuditEngine:
             },
         )
 
+    @staticmethod
+    def _reusable_groups(
+        members: np.ndarray,
+        offsets: np.ndarray,
+        sizes: np.ndarray,
+        previous_of: np.ndarray,
+        previous_groups: Sequence[np.ndarray],
+        n_previous: int,
+    ) -> np.ndarray:
+        """Which current groups are a previous group's image (any adversary).
+
+        A group qualifies when every member survives and all of them map
+        into one previous group of the same size - so the group holds exactly
+        that group's surviving tuples, whose risks the previous report
+        already holds.  Computed once per call with segment reductions.
+        """
+        if members.size == 0:
+            return np.zeros(0, dtype=bool)
+        previous_list = [np.asarray(group, dtype=np.int64) for group in previous_groups]
+        previous_sizes = np.fromiter(
+            (group.size for group in previous_list), dtype=np.int64, count=len(previous_list)
+        )
+        previous_group_of = np.full(n_previous, -1, dtype=np.int64)
+        if previous_list:
+            previous_group_of[np.concatenate(previous_list)] = np.repeat(
+                np.arange(len(previous_list)), previous_sizes
+            )
+        image = previous_of[members]
+        owner = np.where(image >= 0, previous_group_of[np.maximum(image, 0)], -1)
+        low = np.minimum.reduceat(owner, offsets)
+        high = np.maximum.reduceat(owner, offsets)
+        return (low >= 0) & (low == high) & (previous_sizes[np.maximum(low, 0)] == sizes)
+
 
 # -- multiprocessing workers ---------------------------------------------------------
 #
 # Workers receive the release-wide state once (pool initializer) and then one
-# prior matrix per adversary, mirroring repro.api.sweep's worker scheme.
+# adversary's priors per job, mirroring repro.api.sweep's worker scheme.
 
 _WORKER_STATE: tuple | None = None
 
@@ -484,12 +548,12 @@ def _init_worker(sensitive_codes, group_list, measure, method, chunk_rows) -> No
     _WORKER_STATE = (sensitive_codes, group_list, measure, method, chunk_rows)
 
 
-def _attack_in_worker(job: tuple[np.ndarray, float, float]) -> AttackResult:
+def _attack_in_worker(job: tuple[PriorBeliefs, float, float]) -> AttackResult:
     assert _WORKER_STATE is not None, "worker state not initialised"
     sensitive_codes, group_list, measure, method, chunk_rows = _WORKER_STATE
-    matrix, b, t = job
+    priors, b, t = job
     return attack_result(
-        matrix, sensitive_codes, group_list, measure,
+        priors, sensitive_codes, group_list, measure,
         adversary_b=b, threshold=t, method=method, chunk_rows=chunk_rows,
     )
 

@@ -193,7 +193,7 @@ def figure_2(
             errors = []
             for _ in range(repeats):
                 indices = rng.choice(table.n_rows, size=group_size, replace=False)
-                prior = priors.matrix[indices]
+                prior = priors.rows(indices)
                 counts = group_sensitive_counts(sensitive_codes[indices], m)
                 exact = exact_posterior(prior, counts)
                 omega = omega_posterior(prior, counts)

@@ -76,27 +76,35 @@ def omega_posterior(prior: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return posterior
 
 
-def _omega_posterior_flat(
+def _group_of(offsets: np.ndarray, n_rows: int) -> np.ndarray:
+    """Group of each of ``n_rows`` rows laid out from strictly increasing ``offsets``."""
+    group_of = np.zeros(n_rows, dtype=np.int64)
+    group_of[offsets[1:]] = 1
+    return np.cumsum(group_of)
+
+
+def _omega_posterior_weighted(
     prior_rows: np.ndarray,
-    code_rows: np.ndarray,
+    multiplicities: np.ndarray | None,
     offsets: np.ndarray,
-    sizes: np.ndarray,
+    counts: np.ndarray,
+    group_of: np.ndarray,
 ) -> np.ndarray:
     """Omega posteriors for many groups at once (one flat pass, no Python loop).
 
-    ``prior_rows``/``code_rows`` hold the member rows of every group laid out
-    contiguously (group ``g`` occupies ``offsets[g] : offsets[g] + sizes[g]``).
-    Returns the posterior rows in the same layout.  Exactly reproduces
-    :func:`omega_posterior` applied group by group, including both degenerate
-    fallbacks.
+    ``prior_rows`` holds one row per distinct (group, combination) pair, each
+    standing for ``multiplicities[i]`` members (``None``: one member per
+    row), laid out group by group from ``offsets`` (``group_of`` holds each
+    row's group); ``counts`` is the ``(groups, m)`` matrix of the groups'
+    sensitive counts.  Every member of
+    a pair shares its posterior, so this reproduces :func:`omega_posterior`
+    applied to the expanded groups, including both degenerate fallbacks -
+    only the column sums are multiplicity-weighted.
     """
-    n_rows, m = prior_rows.shape
-    n_groups = offsets.shape[0]
-    group_of = np.repeat(np.arange(n_groups), sizes)
+    sizes = counts.sum(axis=1)
 
-    counts = np.bincount(group_of * m + code_rows, minlength=n_groups * m)
-    counts = counts.reshape(n_groups, m).astype(np.float64)
-    column_sums = np.add.reduceat(prior_rows, offsets, axis=0)
+    weighted = prior_rows if multiplicities is None else prior_rows * multiplicities[:, None]
+    column_sums = np.add.reduceat(weighted, offsets, axis=0)
     present = counts > 0.0
     positive_columns = present & (column_sums > 0.0)
     zero_columns = present & (column_sums <= 0.0)
@@ -104,7 +112,7 @@ def _omega_posterior_flat(
     safe_sums = np.where(column_sums > 0.0, column_sums, 1.0)
     shares = np.where(positive_columns[group_of], prior_rows / safe_sums[group_of], 0.0)
     if zero_columns.any():
-        uniform = (1.0 / sizes.astype(np.float64))[group_of]
+        uniform = (1.0 / sizes)[group_of]
         shares = np.where(zero_columns[group_of], uniform[:, None], shares)
 
     unnormalised = shares * counts[group_of]
@@ -114,7 +122,7 @@ def _omega_posterior_flat(
         good[:, None], unnormalised / np.where(good, row_sums, 1.0)[:, None], 0.0
     )
     if not good.all():
-        empirical = counts / sizes.astype(np.float64)[:, None]
+        empirical = counts / sizes[:, None]
         bad = ~good
         posterior[bad] = empirical[group_of[bad]]
     return posterior
@@ -126,52 +134,128 @@ def grouped_posterior(
     offsets: np.ndarray,
     *,
     method: str = "omega",
+    multiplicities: np.ndarray | None = None,
 ) -> np.ndarray:
     """Posterior rows for a batch of groups laid out contiguously.
 
     Parameters
     ----------
     prior_rows:
-        ``(r, m)`` prior beliefs of all group members, groups back to back.
+        ``(r, m)`` prior beliefs, groups back to back: one row per group
+        member, or - with ``multiplicities`` - one row per distinct
+        (group, QI combination) pair.
     code_rows:
-        Length-``r`` sensitive codes of the same members.
+        Sensitive codes of every group member, groups back to back (length
+        ``r``, or ``multiplicities.sum()``).  Only each group's counts matter,
+        so members may come in any order within their group.
     offsets:
-        Start index of each group within the rows (strictly increasing,
+        Start index of each group within ``prior_rows`` (strictly increasing,
         starting at 0); the last group runs to the end.
     method:
         ``"omega"`` (vectorised, one flat pass) or ``"exact"`` (count-DP per
-        group).
+        group, over the expanded members).
+    multiplicities:
+        Members each row of ``prior_rows`` stands for (positive integers).
+        Members sharing a QI combination inside a group share their
+        posterior, so one row per pair is exact.
 
     This is the shared kernel behind :func:`posterior_for_groups`, the batched
     privacy-model checks and the skyline audit engine: callers that already
     hold member rows (and may evaluate overlapping candidate groups, e.g. a
     Mondrian split and its parent) use it directly.
     """
-    from repro.inference.exact import exact_posterior, group_sensitive_counts
+    from repro.inference.exact import exact_posterior
 
     prior_rows = np.asarray(prior_rows, dtype=np.float64)
     code_rows = np.asarray(code_rows, dtype=np.int64)
     offsets = np.asarray(offsets, dtype=np.int64)
-    if prior_rows.ndim != 2 or prior_rows.shape[0] != code_rows.shape[0]:
+    if prior_rows.ndim != 2:
+        raise InferenceError("prior rows must form a 2-dimensional matrix")
+    if multiplicities is None:
+        n_members = prior_rows.shape[0]
+    else:
+        multiplicities = np.asarray(multiplicities, dtype=np.int64)
+        if multiplicities.shape != (prior_rows.shape[0],) or (
+            multiplicities.size and multiplicities.min() < 1
+        ):
+            raise InferenceError("multiplicities must give a positive count per prior row")
+        n_members = int(multiplicities.sum())
+    if code_rows.shape != (n_members,):
         raise InferenceError("prior rows and sensitive codes must cover the same tuples")
     if method not in {"omega", "exact"}:
         raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
-    if code_rows.size and (code_rows.min() < 0 or code_rows.max() >= prior_rows.shape[1]):
+    m = prior_rows.shape[1]
+    if code_rows.size and (code_rows.min() < 0 or code_rows.max() >= m):
         raise InferenceError("sensitive code out of range")
     if offsets.size == 0:
         return np.empty_like(prior_rows)
-    if offsets[0] != 0 or np.any(np.diff(offsets) <= 0) or offsets[-1] >= max(prior_rows.shape[0], 1):
+    if (
+        offsets[0] != 0
+        or np.any(offsets[1:] <= offsets[:-1])
+        or offsets[-1] >= max(prior_rows.shape[0], 1)
+    ):
         raise InferenceError("group offsets must be strictly increasing and start at 0")
-    sizes = np.diff(np.append(offsets, prior_rows.shape[0]))
-    m = prior_rows.shape[1]
+    n_groups = offsets.shape[0]
+    group_of = _group_of(offsets, prior_rows.shape[0])
+    member_group = group_of if multiplicities is None else np.repeat(group_of, multiplicities)
+    counts = np.bincount(member_group * m + code_rows, minlength=n_groups * m)
+    counts = counts.reshape(n_groups, m)
     if method == "omega":
-        return _omega_posterior_flat(prior_rows, code_rows, offsets, sizes)
+        return _omega_posterior_weighted(
+            prior_rows, multiplicities, offsets, counts.astype(np.float64), group_of
+        )
+    if multiplicities is not None:
+        prior_rows = np.repeat(prior_rows, multiplicities, axis=0)
     posterior = np.empty_like(prior_rows)
-    for start, size in zip(offsets, sizes):
-        stop = start + size
-        counts = group_sensitive_counts(code_rows[start:stop], m)
-        posterior[start:stop] = exact_posterior(prior_rows[start:stop], counts)
-    return posterior
+    member_sizes = np.bincount(member_group, minlength=n_groups)
+    starts = np.cumsum(member_sizes) - member_sizes
+    for start, stop, group_counts in zip(starts, starts + member_sizes, counts):
+        posterior[start:stop] = exact_posterior(prior_rows[start:stop], group_counts)
+    if multiplicities is None:
+        return posterior
+    return posterior[np.cumsum(multiplicities) - multiplicities]
+
+
+def populated_groups(groups, n_rows: int) -> list[np.ndarray]:
+    """The non-empty groups as int arrays, checked to cover each row at most once.
+
+    One min/max and one ``bincount`` over all members catch out-of-range
+    indices, tuples shared between groups and tuples repeated within one.
+    """
+    populated = [np.asarray(group, dtype=np.int64) for group in groups]
+    populated = [group for group in populated if group.size]
+    if not populated:
+        return populated
+    members = np.concatenate(populated)
+    if members.min() < 0 or members.max() >= n_rows:
+        raise InferenceError("group index out of range")
+    if np.bincount(members, minlength=n_rows).max() > 1:
+        raise InferenceError(
+            "groups overlap: a tuple appears more than once across or within groups"
+        )
+    return populated
+
+
+def group_runs(populated: list[np.ndarray], chunk_rows: int | None = None):
+    """Yield ``(members, offsets)`` for runs of consecutive groups.
+
+    Each run holds at most ``chunk_rows`` members (always at least one
+    group); ``None`` puts every group in one run.
+    """
+    start = 0
+    while start < len(populated):
+        stop = start + 1
+        rows = populated[start].size
+        while stop < len(populated) and (
+            chunk_rows is None or rows + populated[stop].size <= chunk_rows
+        ):
+            rows += populated[stop].size
+            stop += 1
+        chunk = populated[start:stop]
+        offsets = np.zeros(len(chunk), dtype=np.int64)
+        np.cumsum([group.size for group in chunk[:-1]], out=offsets[1:])
+        yield np.concatenate(chunk), offsets
+        start = stop
 
 
 def posterior_for_groups(
@@ -224,36 +308,12 @@ def posterior_for_groups(
         raise InferenceError("chunk_rows must be a positive integer")
     n = prior_matrix.shape[0]
     posterior = prior_matrix.copy()
-    seen = np.zeros(n, dtype=bool)
-
-    populated = []
-    for group in groups:
-        indices = np.asarray(group, dtype=np.int64)
-        if indices.size == 0:
-            continue
-        if indices.min() < 0 or indices.max() >= n:
-            raise InferenceError("group index out of range")
-        if seen[indices].any():
-            raise InferenceError("groups overlap: a tuple appears in more than one group")
-        seen[indices] = True
-        populated.append(indices)
+    populated = populated_groups(groups, n)
     if not populated:
         return posterior
 
-    start = 0
-    while start < len(populated):
-        stop = start + 1
-        rows = populated[start].size
-        while stop < len(populated) and (
-            chunk_rows is None or rows + populated[stop].size <= chunk_rows
-        ):
-            rows += populated[stop].size
-            stop += 1
-        chunk = populated[start:stop]
-        members = np.concatenate(chunk)
-        offsets = np.cumsum([0] + [g.size for g in chunk[:-1]], dtype=np.int64)
+    for members, offsets in group_runs(populated, chunk_rows):
         posterior[members] = grouped_posterior(
             prior_matrix[members], sensitive_codes[members], offsets, method=method
         )
-        start = stop
     return posterior

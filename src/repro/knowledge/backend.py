@@ -129,6 +129,7 @@ from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
 from repro.exceptions import KnowledgeError
 from repro.knowledge.bandwidth import Bandwidth
+from repro.knowledge.combinations import CombinationIndex, unique_rows
 from repro.knowledge.kernels import get_kernel, has_compact_support
 from repro.knowledge.parallel import parse_jobs, resolve_jobs, run_tasks
 from repro.knowledge.support import (
@@ -332,9 +333,13 @@ class FactoredPriorBackend:
         self._query_solo: np.ndarray | None = None
         self._query_rest: np.ndarray | None = None  # slot ids
         self._query_inverse: np.ndarray | None = None
-        # Prefix trie over the rest slots for the sparse-support contraction
-        # (bandwidth-independent; dropped whenever the slot layout changes).
-        self._support: SupportIndex | None = None
+        # The table's combination index, derived lazily from the query index
+        # (factored) or the flat unique codes (flat); dropped with them.
+        self._combination_index: CombinationIndex | None = None
+        # Prefix tries over runs of rest slots for the sparse-support
+        # contraction, keyed by (start, stop) (bandwidth-independent; dropped
+        # whenever the slot layout changes).
+        self._support: dict[tuple[int, int], SupportIndex] = {}
         # Flat-reference state.
         self._qi_codes: np.ndarray | None = None
         self._one_hot: np.ndarray | None = None
@@ -448,7 +453,7 @@ class FactoredPriorBackend:
         self._overall = table.sensitive_distribution()
         self._contractions = {}
         self._block_distance_cache = {}
-        self._support = None
+        self._support = {}
         codes = table.qi_code_matrix().astype(np.int64)
         sensitive = table.sensitive_codes().astype(np.int64)
         m = table.sensitive_domain().size
@@ -456,7 +461,7 @@ class FactoredPriorBackend:
         sizes = [self._distance_matrices[name].shape[0] for name in qi_names]
         solo = int(np.argmax(sizes))
         rest = [i for i in range(len(qi_names)) if i != solo]
-        rest_combos, slot_of_row = np.unique(codes[:, rest], axis=0, return_inverse=True)
+        rest_combos, slot_of_row = unique_rows(codes[:, rest])
         n_combos = rest_combos.shape[0]
 
         # Refitting may switch modes (e.g. append growth tripping the count
@@ -468,6 +473,7 @@ class FactoredPriorBackend:
         self._blocks = []
         self._solo_of_row = self._slot_of_row = None
         self._pair_keys = self._query_solo = self._query_rest = self._query_inverse = None
+        self._combination_index = None
         self._qi_codes = self._one_hot = None
         self._flat_unique = self._flat_inverse = None
 
@@ -484,9 +490,7 @@ class FactoredPriorBackend:
             one_hot = np.zeros((table.n_rows, m), dtype=np.float64)
             one_hot[np.arange(table.n_rows), sensitive] = 1.0
             self._one_hot = one_hot
-            self._flat_unique, self._flat_inverse = np.unique(
-                codes, axis=0, return_inverse=True
-            )
+            self._flat_unique, self._flat_inverse = unique_rows(codes)
             return
 
         self.mode = "factored"
@@ -591,12 +595,8 @@ class FactoredPriorBackend:
         rest_combos = np.zeros((capacity, combos.shape[1]), dtype=combos.dtype)
         rest_combos[:n_combos] = canonical
         self._rest_combos = rest_combos
-        storage = np.zeros(
-            (self._count_storage.shape[0], capacity, self._count_storage.shape[2]),
-            dtype=np.float64,
-        )
-        storage[:, :n_combos, :] = self._count_storage[:, :n_combos, :][:, order, :]
-        self._count_storage = storage
+        self._relayout_counts(capacity, rank)
+        storage = self._count_storage
         totals = np.zeros(capacity, dtype=np.float64)
         totals[:n_combos] = storage[:, :n_combos, :].sum(axis=(0, 2))
         self._slot_totals = totals
@@ -607,7 +607,7 @@ class FactoredPriorBackend:
         )
         self._block_distance_cache = {}
         self._contractions = {}
-        self._support = None
+        self._support = {}
         self._overall = self._table.sensitive_distribution()
         self._rebuild_query_index()
 
@@ -644,9 +644,7 @@ class FactoredPriorBackend:
 
         def close(positions: list[int]) -> None:
             ordered = sorted(positions)
-            combos, codes = np.unique(
-                rest_combos[:, ordered], axis=0, return_inverse=True
-            )
+            combos, codes = unique_rows(rest_combos[:, ordered])
             code_of_slot = np.zeros(capacity, dtype=np.int64)
             code_of_slot[: rest_combos.shape[0]] = codes
             blocks.append(
@@ -696,6 +694,7 @@ class FactoredPriorBackend:
         multiplier = max(1, self._n_combos)
         pair_key = self._solo_of_row * multiplier + self._slot_of_row
         self._pair_keys, self._query_inverse = np.unique(pair_key, return_inverse=True)
+        self._combination_index = None
         self._query_solo = self._pair_keys // multiplier
         self._query_rest = self._pair_keys % multiplier
 
@@ -1009,7 +1008,7 @@ class FactoredPriorBackend:
         """
         n_combos = self._n_combos
         stacked = np.concatenate([self._rest_combos[:n_combos], rest_new], axis=0)
-        uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        uniq, inverse = unique_rows(stacked)
         slot_of_uid = np.full(uniq.shape[0], -1, dtype=np.int64)
         slot_of_uid[inverse[:n_combos]] = np.arange(n_combos, dtype=np.int64)
         fresh_uids = np.flatnonzero(slot_of_uid < 0)
@@ -1027,6 +1026,25 @@ class FactoredPriorBackend:
                 return None
         return slot_of_uid[inverse[n_combos:]]
 
+    def _relayout_counts(self, capacity: int, new_slot: np.ndarray | None = None) -> None:
+        """Move the count storage to ``capacity`` slots, slot ``s`` to ``new_slot[s]``.
+
+        Every row fills one cell, so the tensor is sparse: only its non-zero
+        cells move, and the old storage is released before the new one is
+        allocated, so a relayout holds one tensor instead of two.  The
+        counts are moved, not recomputed, hence bitwise.
+        """
+        solo_size, _, m = self._count_storage.shape
+        cells = np.flatnonzero(self._count_storage)
+        counts = self._count_storage.reshape(-1)[cells]
+        solo, slot, value = np.unravel_index(cells, self._count_storage.shape)
+        self._count_storage = None
+        if new_slot is not None:
+            slot = new_slot[slot]
+        storage = np.zeros((solo_size, capacity, m), dtype=np.float64)
+        storage[solo, slot, value] = counts
+        self._count_storage = storage
+
     def _grow_combos(self, new_combos: np.ndarray) -> None:
         """Assign slots to new rest combinations, reallocating storage if full."""
         n_old = self._n_combos
@@ -1037,11 +1055,8 @@ class FactoredPriorBackend:
             combos = np.zeros((capacity, self._rest_combos.shape[1]), self._rest_combos.dtype)
             combos[:n_old] = self._rest_combos[:n_old]
             self._rest_combos = combos
-            storage = np.zeros(
-                (self._count_storage.shape[0], capacity, self._count_storage.shape[2])
-            )
-            storage[:, :n_old, :] = self._count_storage[:, :n_old, :]
-            self._count_storage = storage
+            self._relayout_counts(capacity)
+            storage = self._count_storage
             totals = np.zeros(capacity, dtype=np.float64)
             totals[:n_old] = self._slot_totals[:n_old]
             self._slot_totals = totals
@@ -1056,7 +1071,7 @@ class FactoredPriorBackend:
         slots = np.arange(n_old, n_after, dtype=np.int64)
         self._rest_combos[slots] = new_combos
         self._n_combos = n_after
-        self._support = None
+        self._support = {}
         grown = [
             self._grow_block(block, new_combos[:, list(block.positions)], slots)
             for block in self._blocks
@@ -1080,7 +1095,7 @@ class FactoredPriorBackend:
         """Grow one block with a batch of new rest combinations; return new combo count."""
         c_old = block.n_combos
         stacked = np.concatenate([block.combos, sub_combos], axis=0)
-        uniq, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        uniq, inverse = unique_rows(stacked)
         id_of_uid = np.full(uniq.shape[0], -1, dtype=np.int64)
         id_of_uid[inverse[:c_old]] = np.arange(c_old, dtype=np.int64)
         fresh = np.flatnonzero(id_of_uid < 0)
@@ -1460,18 +1475,26 @@ class FactoredPriorBackend:
         return order, names, starts, ends
 
     def _support_index(self, slots: np.ndarray | None = None) -> SupportIndex:
-        """The prefix trie over ``slots`` (default: every active slot, cached)."""
-        if slots is None and self._support is not None:
-            return self._support
-        order, names, _, _ = self._support_layout()
-        chosen = np.arange(self._n_combos, dtype=np.int64) if slots is None else slots
-        index = SupportIndex(
-            self._rest_combos[chosen][:, order],
-            [self._distance_matrices[name].shape[0] for name in names],
-            chosen,
-        )
+        """The prefix trie over ``slots`` (default: every active slot).
+
+        Tries over a run of consecutive slots are cached until the slot
+        layout changes, so the bandwidths of one append share them.
+        """
         if slots is None:
-            self._support = index
+            slots = np.arange(self._n_combos, dtype=np.int64)
+        key = None
+        if slots.size and slots[-1] - slots[0] + 1 == slots.size and np.all(np.diff(slots) > 0):
+            key = (int(slots[0]), int(slots[-1]) + 1)
+            if key in self._support:
+                return self._support[key]
+        order, names, _, _ = self._support_layout()
+        index = SupportIndex(
+            self._rest_combos[slots][:, order],
+            [self._distance_matrices[name].shape[0] for name in names],
+            slots,
+        )
+        if key is not None:
+            self._support[key] = index
         return index
 
     def _attribute_neighbours(self, bandwidth: Bandwidth) -> list[AttributeNeighbours]:
@@ -1551,9 +1574,7 @@ class FactoredPriorBackend:
             return None
         old = np.arange(fresh[0], dtype=np.int64)
         outgoing = self._enumerate_pairs(neighbours, bounds, fresh, self._support_index())
-        incoming = self._enumerate_pairs(
-            neighbours, bounds, old, self._support_index(fresh)
-        )
+        incoming = self._enumerate_pairs(neighbours, bounds, old, self._support_index(fresh))
         return NeighbourPairs.merge([pairs, outgoing, incoming], self._n_combos)
 
     def _contract_sparse(
@@ -1648,7 +1669,7 @@ class FactoredPriorBackend:
             )
 
     def _factored_matrix(self, bandwidth: Bandwidth) -> np.ndarray:
-        """The per-row prior matrix of the fitted table under one bandwidth."""
+        """The per-combination prior matrix of the fitted table under one bandwidth."""
         table = self._table
         qi_names = list(table.quasi_identifier_names)
         m = table.sensitive_domain().size
@@ -1678,9 +1699,15 @@ class FactoredPriorBackend:
                 allocate = np.zeros if self.incremental else np.empty
                 contracted_storage = allocate(self._count_storage.shape, dtype=np.float64)
                 contracted = contracted_storage[:, :n_combos, :]
-                contracted[:] = (
-                    solo_weights @ self._count_tensor.reshape(solo_size, -1)
-                ).reshape(solo_size, n_combos, m)
+                # A solo row's active slots are contiguous in both buffers, so
+                # the GEMM reads and writes them in place: no temporary as
+                # large as the count tensor.
+                active = n_combos * m
+                np.matmul(
+                    solo_weights,
+                    self._count_storage.reshape(solo_size, -1)[:, :active],
+                    out=contracted_storage.reshape(solo_size, -1)[:, :active],
+                )
 
                 numerators = np.empty((self._pair_keys.size, m), dtype=np.float64)
                 everything = np.arange(self._pair_keys.size, dtype=np.int64)
@@ -1707,7 +1734,7 @@ class FactoredPriorBackend:
                     "contracted_storage": contracted_storage,
                     "numerators": numerators,
                 }
-        return self._normalise(numerators)[self._query_inverse]
+        return self._normalise(numerators)
 
     def _normalise(self, numerators: np.ndarray) -> np.ndarray:
         """Row-normalise numerators; degenerate rows fall back to the overall."""
@@ -1748,11 +1775,33 @@ class FactoredPriorBackend:
         return result
 
     # -- estimation -------------------------------------------------------------------
-    def matrices(self, bandwidths: Sequence[float | Bandwidth]) -> list[np.ndarray]:
-        """Per-row prior matrices of the fitted table, one per bandwidth.
+    @property
+    def combination_index(self) -> CombinationIndex:
+        """The fitted table's QI-combination index (shared by every bandwidth).
 
-        Identical bandwidths (common in skyline grids) are computed once and
-        share the returned array object.
+        Combination ``c`` is query ``c`` of the factored query index (or
+        unique code row ``c`` in flat mode), so row ``c`` of every
+        :meth:`combination_matrices` result is the prior of the rows with
+        ``combo_of_row == c``.  Rebuilt whenever appends, removals or updates
+        rebuild the query index.
+        """
+        self._require_fitted()
+        if self._combination_index is None:
+            if self.mode == "factored":
+                inverse, count = self._query_inverse, self._pair_keys.size
+            else:
+                inverse, count = self._flat_inverse, self._flat_unique.shape[0]
+            self._combination_index = CombinationIndex.from_inverse(inverse, count)
+        return self._combination_index
+
+    def combination_matrices(
+        self, bandwidths: Sequence[float | Bandwidth]
+    ) -> list[np.ndarray]:
+        """Per-combination prior matrices of the fitted table, one per bandwidth.
+
+        Rows follow :attr:`combination_index`.  Identical bandwidths (common
+        in skyline grids) are computed once and share the returned array
+        object.
         """
         self._require_fitted()
         resolved = [self.resolve_bandwidth(b) for b in bandwidths]
@@ -1765,12 +1814,22 @@ class FactoredPriorBackend:
                 if self.mode == "factored":
                     matrix = self._factored_matrix(bandwidth)
                 else:
-                    matrix = self._flat_matrix_for_codes(self._flat_unique, bandwidth)[
-                        self._flat_inverse
-                    ]
+                    matrix = self._flat_matrix_for_codes(self._flat_unique, bandwidth)
                 computed[key] = matrix
             results.append(matrix)
         return results
+
+    def matrices(self, bandwidths: Sequence[float | Bandwidth]) -> list[np.ndarray]:
+        """Per-row prior matrices of the fitted table, one per bandwidth.
+
+        The row expansion of :meth:`combination_matrices`; identical
+        bandwidths share the returned array object.
+        """
+        combo_of_row = self.combination_index.combo_of_row
+        matrices = self.combination_matrices(bandwidths)
+        distinct = {id(matrix): matrix for matrix in matrices}
+        expanded = {key: matrix[combo_of_row] for key, matrix in distinct.items()}
+        return [expanded[id(matrix)] for matrix in matrices]
 
     def matrix_for_codes(
         self, query_codes: np.ndarray, b: float | Bandwidth
@@ -1801,7 +1860,7 @@ class FactoredPriorBackend:
                     f"query codes for attribute {name!r} must lie in [0, {size}); "
                     f"got values in [{codes.min()}, {codes.max()}]"
                 )
-        unique_codes, inverse = np.unique(query_codes, axis=0, return_inverse=True)
+        unique_codes, inverse = unique_rows(query_codes)
         if self.mode == "flat":
             return self._flat_matrix_for_codes(unique_codes, bandwidth)[inverse]
 

@@ -42,7 +42,7 @@ Three baseline adversaries from Section II-D are also provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -56,57 +56,99 @@ from repro.knowledge.backend import (
     resolve_config,
 )
 from repro.knowledge.bandwidth import Bandwidth
+from repro.knowledge.combinations import CombinationIndex, unique_rows
 
 _DEFAULT_BATCH_SIZE = DEFAULT_BATCH_SIZE
 
 
-@dataclass(frozen=True)
 class PriorBeliefs:
-    """Per-tuple prior beliefs of one adversary over one table.
+    """Prior beliefs of one adversary over one table, stored per QI combination.
 
-    Attributes
+    The kernel prior depends only on a tuple's QI combination, so beliefs are
+    held as one row per combination plus the table's
+    :class:`~repro.knowledge.combinations.CombinationIndex`.  Beliefs built
+    from a per-row ``matrix`` (injected priors, the baseline adversaries)
+    carry the trivial index of one combination per row.
+
+    Parameters
     ----------
     matrix:
         ``(n_rows, m)`` row-stochastic matrix; row ``j`` is the adversary's
         prior distribution over the sensitive domain for tuple ``t_j``.
+        Mutually exclusive with ``combinations``.
     sensitive_values:
         The sensitive domain ``D[S]`` in code order (length ``m``).
     description:
         Human-readable description of the adversary (e.g. ``"kernel b=0.3"``).
+    combinations:
+        ``(n_combinations, m)`` row-stochastic matrix, one row per entry of
+        ``index``.
+    index:
+        The combination index ``combinations`` is laid out by (required with
+        ``combinations``).
     """
 
-    matrix: np.ndarray
-    sensitive_values: tuple = field(default_factory=tuple)
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        matrix = np.asarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
+    def __init__(
+        self,
+        matrix: np.ndarray | None = None,
+        sensitive_values: tuple = (),
+        description: str = "",
+        *,
+        combinations: np.ndarray | None = None,
+        index: CombinationIndex | None = None,
+    ):
+        if (matrix is None) == (combinations is None):
+            raise KnowledgeError("give prior beliefs either per row or per combination")
+        table = np.asarray(matrix if combinations is None else combinations, dtype=np.float64)
+        if table.ndim != 2:
             raise KnowledgeError("prior belief matrix must be 2-dimensional")
-        if np.any(matrix < -1e-12):
+        if np.any(table < -1e-12):
             raise KnowledgeError("prior belief matrix must be non-negative")
-        row_sums = matrix.sum(axis=1)
-        if not np.allclose(row_sums, 1.0, atol=1e-8):
+        if not np.allclose(table.sum(axis=1), 1.0, atol=1e-8):
             raise KnowledgeError("every prior belief row must sum to 1")
-        object.__setattr__(self, "matrix", matrix)
+        if combinations is None:
+            index = CombinationIndex.trivial(table.shape[0])
+        elif index is None or index.n_combinations != table.shape[0]:
+            raise KnowledgeError("per-combination priors need an index with one entry per row")
+        self.combinations = table
+        self.index = index
+        self.sensitive_values = tuple(sensitive_values)
+        self.description = description
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """``(n_rows, m)`` per-tuple beliefs (expanded from the combinations once)."""
+        if self.index.identity:
+            return self.combinations
+        return self.combinations[self.index.combo_of_row]
 
     @property
     def n_rows(self) -> int:
         """Number of tuples covered by these beliefs."""
-        return int(self.matrix.shape[0])
+        return self.index.n_rows
 
     @property
     def n_sensitive_values(self) -> int:
         """Size ``m`` of the sensitive domain."""
-        return int(self.matrix.shape[1])
+        return int(self.combinations.shape[1])
+
+    def rows(self, indices: np.ndarray) -> np.ndarray:
+        """Prior distributions (rows) of the tuples at ``indices`` (positions or a mask)."""
+        return self.combinations[self.index.combo_of_row[np.asarray(indices)]]
 
     def for_tuple(self, index: int) -> np.ndarray:
         """Prior distribution of tuple ``index``."""
-        return self.matrix[index]
+        return self.combinations[self.index.combo_of_row[index]]
 
     def for_group(self, indices: np.ndarray) -> np.ndarray:
         """Prior distributions (rows) for a group of tuple indices."""
-        return self.matrix[np.asarray(indices, dtype=np.int64)]
+        return self.rows(indices)
+
+    def __repr__(self) -> str:
+        return (
+            f"PriorBeliefs({self.description!r}, rows={self.n_rows}, "
+            f"combinations={self.index.n_combinations})"
+        )
 
 
 class KernelPriorEstimator:
@@ -214,21 +256,25 @@ class KernelPriorEstimator:
         fitted = self._backend.table
         if fitted is None:
             raise KnowledgeError("estimator is not fitted; call fit(table) first")
+        description = f"kernel={self.kernel_name}, {self.bandwidth.describe()}"
+        sensitive_values = tuple(fitted.sensitive_domain().values.tolist())
         if table is None or table is fitted:
-            matrix = self._backend.matrices([self.bandwidth])[0]
-        else:
-            # Re-encode the target's QI values against the fitted table's domains.
-            codes = np.column_stack(
-                [
-                    fitted.domain(name).encode(table.column(name).tolist())
-                    for name in fitted.quasi_identifier_names
-                ]
+            return PriorBeliefs(
+                combinations=self._backend.combination_matrices([self.bandwidth])[0],
+                index=self._backend.combination_index,
+                sensitive_values=sensitive_values,
+                description=description,
             )
-            matrix = self._backend.matrix_for_codes(codes, self.bandwidth)
+        # Re-encode the target's QI values against the fitted table's domains.
+        codes = np.column_stack(
+            [
+                fitted.domain(name).encode(table.column(name).tolist())
+                for name in fitted.quasi_identifier_names
+            ]
+        )
+        matrix = self._backend.matrix_for_codes(codes, self.bandwidth)
         return PriorBeliefs(
-            matrix=matrix,
-            sensitive_values=tuple(fitted.sensitive_domain().values.tolist()),
-            description=f"kernel={self.kernel_name}, {self.bandwidth.describe()}",
+            matrix=matrix, sensitive_values=sensitive_values, description=description
         )
 
 
@@ -379,22 +425,25 @@ class BatchedKernelPriorEstimator:
         order; numerically interchangeable with fitting a
         :class:`KernelPriorEstimator` per bandwidth.  Identical bandwidths
         (common in ``|skyline| > 1`` grids) are computed once and share one
-        matrix object.
+        :class:`PriorBeliefs` object.
         """
         table = self._backend.table
         if table is None:
             raise KnowledgeError("estimator is not fitted; call fit(table) first")
         resolved = [self._backend.resolve_bandwidth(b) for b in bandwidths]
-        matrices = self._backend.matrices(resolved)
+        matrices = self._backend.combination_matrices(resolved)
+        index = self._backend.combination_index
         sensitive_values = tuple(table.sensitive_domain().values.tolist())
-        return [
-            PriorBeliefs(
-                matrix=matrix,
-                sensitive_values=sensitive_values,
-                description=f"kernel={self.kernel_name}, {bandwidth.describe()}",
-            )
-            for bandwidth, matrix in zip(resolved, matrices)
-        ]
+        beliefs: dict[int, PriorBeliefs] = {}
+        for bandwidth, matrix in zip(resolved, matrices):
+            if id(matrix) not in beliefs:
+                beliefs[id(matrix)] = PriorBeliefs(
+                    combinations=matrix,
+                    index=index,
+                    sensitive_values=sensitive_values,
+                    description=f"kernel={self.kernel_name}, {bandwidth.describe()}",
+                )
+        return [beliefs[id(matrix)] for matrix in matrices]
 
 
 def batched_kernel_priors(
@@ -490,7 +539,7 @@ def mle_prior(table: MicrodataTable) -> PriorBeliefs:
     codes = table.qi_code_matrix()
     sensitive_codes = table.sensitive_codes()
     m = table.sensitive_domain().size
-    unique_codes, inverse = np.unique(codes, axis=0, return_inverse=True)
+    unique_codes, inverse = unique_rows(codes)
     matrix = np.zeros((unique_codes.shape[0], m), dtype=np.float64)
     np.add.at(matrix, (inverse, sensitive_codes), 1.0)
     matrix /= matrix.sum(axis=1, keepdims=True)

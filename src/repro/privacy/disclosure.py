@@ -23,10 +23,53 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.table import MicrodataTable
-from repro.exceptions import PrivacyModelError
-from repro.inference.omega import posterior_for_groups
+from repro.exceptions import InferenceError, PrivacyModelError
+from repro.inference.omega import group_runs, grouped_posterior, populated_groups
+from repro.knowledge.combinations import CombinationIndex, GroupPairs
 from repro.knowledge.prior import PriorBeliefs, kernel_prior
 from repro.privacy.measures import DistanceMeasure, sensitive_distance_measure
+
+
+def partition_layout(
+    index: CombinationIndex, groups: list[np.ndarray], *, chunk_rows: int | None = None
+) -> list[GroupPairs]:
+    """The (group, combination) layout of a release, in runs of groups.
+
+    Groups are validated to cover each tuple at most once; runs hold at most
+    ``chunk_rows`` members (see
+    :func:`repro.inference.omega.posterior_for_groups`).  Adversaries whose
+    priors share ``index`` share one layout.
+    """
+    if chunk_rows is not None and chunk_rows < 1:
+        raise InferenceError("chunk_rows must be a positive integer")
+    populated = populated_groups(groups, index.n_rows)
+    return [index.pairs(members, offsets) for members, offsets in group_runs(populated, chunk_rows)]
+
+
+def pair_distances(
+    combinations: np.ndarray,
+    sensitive_codes: np.ndarray,
+    pairs: GroupPairs,
+    measure: DistanceMeasure,
+    *,
+    method: str = "omega",
+) -> np.ndarray:
+    """Knowledge gain of every (group, combination) pair of a layout.
+
+    ``combinations`` holds the prior row of each combination; every member
+    of a pair shares the pair's posterior, hence its gain.
+    """
+    prior_rows = combinations[pairs.combination]
+    # One pair per member needs no weighting (the per-row pass).
+    deduplicated = pairs.n_pairs < pairs.members.size
+    posterior_rows = grouped_posterior(
+        prior_rows,
+        sensitive_codes[pairs.members],
+        pairs.pair_offsets,
+        method=method,
+        multiplicities=pairs.multiplicity if deduplicated else None,
+    )
+    return measure.rowwise(prior_rows, posterior_rows)
 
 
 def tuple_disclosure_risks(
@@ -37,14 +80,18 @@ def tuple_disclosure_risks(
     *,
     method: str = "omega",
     chunk_rows: int | None = None,
+    layout: list[GroupPairs] | None = None,
 ) -> np.ndarray:
     """Knowledge gain ``D[prior, posterior]`` for every tuple of a partitioned table.
+
+    Posterior and distance are computed once per distinct (group, QI
+    combination) pair and reach the tuples by one gather.
 
     Parameters
     ----------
     priors:
         The adversary's prior beliefs (a :class:`PriorBeliefs` or a raw
-        ``(n, m)`` matrix).
+        ``(n, m)`` matrix, read as one combination per row).
     sensitive_codes:
         Length-``n`` sensitive value codes of the original table.
     groups:
@@ -56,12 +103,37 @@ def tuple_disclosure_risks(
     chunk_rows:
         Optional row cap per posterior pass (see
         :func:`repro.inference.omega.posterior_for_groups`).
+    layout:
+        ``partition_layout(priors.index, groups, chunk_rows=...)``, when the
+        caller shares one layout across adversaries.
     """
-    prior_matrix = priors.matrix if isinstance(priors, PriorBeliefs) else np.asarray(priors)
-    posterior_matrix = posterior_for_groups(
-        prior_matrix, sensitive_codes, groups, method=method, chunk_rows=chunk_rows
-    )
-    return measure.rowwise(prior_matrix, posterior_matrix)
+    if isinstance(priors, PriorBeliefs):
+        combinations, index = priors.combinations, priors.index
+    else:
+        combinations = np.asarray(priors, dtype=np.float64)
+        if combinations.ndim != 2:
+            raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
+        index = CombinationIndex.trivial(combinations.shape[0])
+    sensitive_codes = np.asarray(sensitive_codes, dtype=np.int64)
+    if sensitive_codes.shape != (index.n_rows,):
+        raise InferenceError("prior matrix and sensitive codes must cover the same tuples")
+    if method not in {"omega", "exact"}:
+        raise InferenceError(f"unknown inference method {method!r}; use 'omega' or 'exact'")
+    if layout is None:
+        layout = partition_layout(index, groups, chunk_rows=chunk_rows)
+    risks = np.empty(index.n_rows, dtype=np.float64)
+    covered = np.zeros(index.n_rows, dtype=bool)
+    for pairs in layout:
+        distances = pair_distances(combinations, sensitive_codes, pairs, measure, method=method)
+        risks[pairs.members] = distances[pairs.pair_of_member]
+        covered[pairs.members] = True
+    if not covered.all():
+        # Uncovered tuples keep their prior as posterior (nothing released).
+        rest = np.flatnonzero(~covered)
+        present, inverse = np.unique(index.combo_of_row[rest], return_inverse=True)
+        prior_rows = combinations[present]
+        risks[rest] = measure.rowwise(prior_rows, prior_rows)[inverse.reshape(-1)]
+    return risks
 
 
 def max_risk(risks: np.ndarray) -> float:
@@ -80,15 +152,18 @@ def attack_result(
     threshold: float,
     method: str = "omega",
     chunk_rows: int | None = None,
+    layout: list[GroupPairs] | None = None,
 ) -> "AttackResult":
     """One risks computation shared by every audit entry point.
 
     :func:`worst_case_disclosure_risk`, :meth:`BackgroundKnowledgeAttack.attack`
     and the skyline audit engine all route through here, so their reported
-    risks are byte-for-byte the same computation.
+    risks are byte-for-byte the same computation.  ``layout`` is passed
+    through to :func:`tuple_disclosure_risks`.
     """
     risks = tuple_disclosure_risks(
-        priors, sensitive_codes, groups, measure, method=method, chunk_rows=chunk_rows
+        priors, sensitive_codes, groups, measure,
+        method=method, chunk_rows=chunk_rows, layout=layout,
     )
     return AttackResult(
         adversary_b=float(adversary_b),

@@ -23,7 +23,7 @@ functions so privacy models can treat the measure as a configuration value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -338,15 +338,28 @@ class SmoothedJSDivergence(DistanceMeasure):
     bandwidth: float = 0.5
     kernel: str = "epanechnikov"
     name = "smoothed-js"
+    # The (distance matrix, bandwidth, kernel) the cached weights were built for.
+    _weights: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def _smoothing_weights(self) -> np.ndarray:
-        weights = get_kernel(self.kernel)(np.asarray(self.distance_matrix, dtype=np.float64), self.bandwidth)
-        denominators = weights.sum(axis=1, keepdims=True)
-        if np.any(denominators <= 0.0):
-            raise PrivacyModelError(
-                "smoothing kernel gives zero total weight for some value; increase the bandwidth"
+        cached = self._weights
+        if (
+            cached is None
+            or cached[0] is not self.distance_matrix
+            or cached[1:3] != (self.bandwidth, self.kernel)
+        ):
+            weights = get_kernel(self.kernel)(
+                np.asarray(self.distance_matrix, dtype=np.float64), self.bandwidth
             )
-        return weights / denominators
+            denominators = weights.sum(axis=1, keepdims=True)
+            if np.any(denominators <= 0.0):
+                raise PrivacyModelError(
+                    "smoothing kernel gives zero total weight for some value; increase the bandwidth"
+                )
+            self._weights = (
+                self.distance_matrix, self.bandwidth, self.kernel, weights / denominators
+            )
+        return self._weights[3]
 
     def __call__(self, p: np.ndarray, q: np.ndarray) -> float:
         return smoothed_js_divergence(

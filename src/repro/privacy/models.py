@@ -26,10 +26,10 @@ import numpy as np
 from repro.data.distance import attribute_distance_matrix
 from repro.data.table import MicrodataTable
 from repro.exceptions import PrivacyModelError
-from repro.inference.omega import grouped_posterior
 from repro.knowledge.backend import DEFAULT_MAX_CELLS
 from repro.knowledge.bandwidth import Bandwidth
 from repro.knowledge.prior import PriorBeliefs, kernel_prior
+from repro.privacy.disclosure import pair_distances
 from repro.privacy.measures import (
     DistanceMeasure,
     HierarchicalEMD,
@@ -373,6 +373,8 @@ class BTPrivacy(PrivacyModel):
         self._risk_cache_limit = 100_000
         self.risk_evaluations = 0
         self.risk_cache_hits = 0
+        self.risk_rows = 0
+        self.risk_combinations = 0
 
     # -- preparation -----------------------------------------------------------------
     def prepare(self, table: MicrodataTable) -> None:
@@ -427,7 +429,7 @@ class BTPrivacy(PrivacyModel):
         :meth:`set_priors` and every row is dirty.
         """
         new_codes = np.asarray(sensitive_codes, dtype=np.int64)
-        n_new = priors.matrix.shape[0]
+        n_new = priors.n_rows
         if previous_of is not None:
             return self._update_priors_remapped(
                 priors, new_codes, domain_size, np.asarray(previous_of, dtype=np.int64)
@@ -443,18 +445,23 @@ class BTPrivacy(PrivacyModel):
             return np.ones(n_new, dtype=bool)
         n_previous = self._priors.n_rows
         dirty = np.ones(n_new, dtype=bool)
-        dirty[:n_previous] = (priors.matrix[:n_previous] != self._priors.matrix).any(axis=1)
+        previous_rows = np.arange(n_previous)
+        dirty[:n_previous] = (
+            priors.rows(previous_rows) != self._priors.rows(previous_rows)
+        ).any(axis=1)
         self._priors = priors
         self._sensitive_codes = new_codes
         self._domain_size = int(domain_size)
-        if dirty.any():
-            stale = [
-                key
-                for key in self._risk_cache
-                if dirty[np.frombuffer(key, dtype=np.int64)].any()
-            ]
-            for key in stale:
-                del self._risk_cache[key]
+        if dirty.any() and self._risk_cache:
+            # One vectorised pass over the concatenated keys finds the memos
+            # holding a dirty row.
+            keys = list(self._risk_cache)
+            lengths = np.fromiter((len(key) // 8 for key in keys), dtype=np.int64, count=len(keys))
+            members = np.frombuffer(b"".join(keys), dtype=np.int64)
+            stale = np.logical_or.reduceat(dirty[members], np.cumsum(lengths) - lengths)
+            self._risk_cache = {
+                key: self._risk_cache[key] for key, drop in zip(keys, stale) if not drop
+            }
         return dirty
 
     def _update_priors_remapped(
@@ -465,7 +472,7 @@ class BTPrivacy(PrivacyModel):
         previous_of: np.ndarray,
     ) -> np.ndarray:
         """The remapped (deletion/correction) arm of :meth:`update_priors`."""
-        n_new = priors.matrix.shape[0]
+        n_new = priors.n_rows
         if (
             self._priors is None
             or self._sensitive_codes is None
@@ -480,7 +487,7 @@ class BTPrivacy(PrivacyModel):
         surviving = np.flatnonzero(~dirty)
         survivors_previous = previous_of[surviving]
         dirty[surviving] = (
-            priors.matrix[surviving] != self._priors.matrix[survivors_previous]
+            priors.rows(surviving) != self._priors.rows(survivors_previous)
         ).any(axis=1) | (new_codes[surviving] != self._sensitive_codes[survivors_previous])
         # Remap still-valid memos into the new index space: a memo survives
         # when every member row survives clean (keys stay sorted because the
@@ -552,7 +559,10 @@ class BTPrivacy(PrivacyModel):
         All uncached groups go through one flat posterior pass (the batched
         Omega kernel) and one vectorised measure evaluation, so checking a
         Mondrian split's two halves - or one group against every skyline
-        point - costs a single call.  Groups may overlap (candidate splits are
+        point - costs a single call.  Both run once per distinct (group, QI
+        combination) pair, since members sharing a combination share their
+        posterior; ``risk_rows`` and ``risk_combinations`` count the members
+        and pairs evaluated.  Groups may overlap (candidate splits are
         alternatives, not a partition).
         """
         self._require_prepared()
@@ -571,14 +581,23 @@ class BTPrivacy(PrivacyModel):
                 pending.append((position, indices, key))
         if not pending:
             return risks
-        self.risk_evaluations += len(pending)
         members = np.concatenate([indices for _, indices, _ in pending])
+        n_rows = self._sensitive_codes.shape[0]
+        if members.min() < 0 or members.max() >= n_rows:
+            raise PrivacyModelError(
+                f"group indices must lie in [0, {n_rows}); got values in "
+                f"[{members.min()}, {members.max()}]"
+            )
         offsets = np.cumsum([0] + [indices.size for _, indices, _ in pending[:-1]], dtype=np.int64)
-        prior_rows = self._priors.matrix[members]
-        code_rows = self._sensitive_codes[members]
-        posterior_rows = grouped_posterior(prior_rows, code_rows, offsets, method=self.inference)
-        distances = self.measure.rowwise(prior_rows, posterior_rows)
-        group_max = np.maximum.reduceat(distances, offsets)
+        pairs = self._priors.index.pairs(members, offsets)
+        self.risk_evaluations += len(pending)
+        self.risk_rows += members.size
+        self.risk_combinations += pairs.n_pairs
+        distances = pair_distances(
+            self._priors.combinations, self._sensitive_codes, pairs, self.measure,
+            method=self.inference,
+        )
+        group_max = np.maximum.reduceat(distances, pairs.pair_offsets)
         if len(self._risk_cache) + len(pending) > self._risk_cache_limit:
             self._risk_cache.clear()
         for (position, _, key), value in zip(pending, group_max):

@@ -267,7 +267,7 @@ class IncrementalPublisher:
             else ReleaseStore(version_cache=version_cache)
         )
         self._tree: PartitionTree | None = None
-        self._audit_matrices: list[np.ndarray] = []
+        self._audit_priors: list[PriorBeliefs] = []
         self._drift_rows = 0
         # Set while a mutation is in flight and cleared when its version is
         # recorded: a raise mid-mutation (e.g. the documented
@@ -457,8 +457,8 @@ class IncrementalPublisher:
             )
         publisher._requirement.prepare(table)
         if publisher._points:
-            publisher._audit_matrices = [
-                prior_map[bandwidth.items()].matrix for bandwidth, _ in publisher._points
+            publisher._audit_priors = [
+                prior_map[bandwidth.items()] for bandwidth, _ in publisher._points
             ]
         return publisher
 
@@ -590,9 +590,8 @@ class IncrementalPublisher:
                 if self._points:
                     engine = self._engine(table, prior_map)
                     report = engine.audit(groups)
-                    self._audit_matrices = [
-                        prior_map[bandwidth.items()].matrix
-                        for bandwidth, _ in self._points
+                    self._audit_priors = [
+                        prior_map[bandwidth.items()] for bandwidth, _ in self._points
                     ]
             timings = {
                 "prior_seconds": prior_span.duration_s,
@@ -800,10 +799,10 @@ class IncrementalPublisher:
                     codes[surviving] != previous_codes[survivors_previous]
                 )
                 masks = []
-                for previous_matrix, priors in zip(self._audit_matrices, priors_list):
+                for previous_priors, priors in zip(self._audit_priors, priors_list):
                     mask = np.ones(table.n_rows, dtype=bool)
                     mask[surviving] = (
-                        priors.matrix[surviving] != previous_matrix[survivors_previous]
+                        priors.rows(surviving) != previous_priors.rows(survivors_previous)
                     ).any(axis=1)
                     masks.append(mask | code_changed)
                 engine = self._engine(table, prior_map)
@@ -815,7 +814,7 @@ class IncrementalPublisher:
                     previous_of=previous_of,
                 )
                 audit_recomputed = list(report.delta["recomputed_groups"])
-                self._audit_matrices = [priors.matrix for priors in priors_list]
+                self._audit_priors = priors_list
                 span.annotate(recomputed_groups=audit_recomputed)
         return report, audit_recomputed, span.duration_s
 

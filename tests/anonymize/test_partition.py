@@ -62,6 +62,13 @@ def test_release_rejects_overlapping_groups(patients):
         AnonymizedRelease(patients, [np.array([0, 1]), np.array([1, 2])])
 
 
+def test_release_rejects_tuple_repeated_within_a_group(patients):
+    # Tuple 0 twice in one group (and every other tuple once) used to pass.
+    others = np.arange(1, patients.n_rows)
+    with pytest.raises(AnonymizationError, match="overlap"):
+        AnonymizedRelease(patients, [np.array([0, 0, 1]), others[1:]])
+
+
 def test_release_rejects_partial_cover(patients):
     with pytest.raises(AnonymizationError):
         AnonymizedRelease(patients, [np.array([0, 1, 2])])

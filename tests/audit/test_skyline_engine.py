@@ -215,3 +215,25 @@ def test_audit_incremental_validates_inputs():
             previous_report=report,
             dirty_rows=np.ones(10, dtype=bool),
         )
+
+
+def test_audit_incremental_rejects_repeated_previous_rows():
+    # Two current rows mapped to one previous row would make a group look
+    # like a previous group's image and keep its stale risks.
+    from repro.data.adult import generate_adult
+
+    table = generate_adult(300, seed=13)
+    release = anonymize(table, DistinctLDiversity(3), k=4).release
+    engine = SkylineAuditEngine(table, SKYLINE)
+    report = engine.audit(release.groups)
+    previous_of = np.arange(table.n_rows, dtype=np.int64)
+    first = release.groups[0]
+    previous_of[first[1]] = first[0]
+    with pytest.raises(AuditError, match="two current rows"):
+        engine.audit_incremental(
+            release.groups,
+            previous_groups=release.groups,
+            previous_report=report,
+            dirty_rows=np.zeros(table.n_rows, dtype=bool),
+            previous_of=previous_of,
+        )
